@@ -224,6 +224,8 @@ def expansion_table(r: int, nmax: int = 6) -> str:
 
 
 def _cmd_tables(args) -> int:
+    if args.nmax < 0:
+        raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     if args.out is None:
         for r in (1, 2):
             sys.stdout.write(expansion_table(r, args.nmax))

@@ -9,9 +9,10 @@ presentation boundary (:meth:`TruncatedSeries.egf_coefficient` and the
 and composition are the same Cauchy/substitution formulas for both flavors.
 
 The coefficient ring is described by a small adapter object providing exact
-zero, one, rational embedding and unit inversion; ring elements themselves
-are expected to support ``+``, ``-`` and ``*``.  Adapters for Q, Q[t] and the
-ring of symmetric functions are provided.
+zero, one, rational embedding, products and unit inversion; ring elements
+themselves are expected to support ``+`` and ``-``.  Every product of two
+ring elements goes through the adapter's ``mul``, so an adapter can bound
+it.  Adapters for Q, Q[t] and the ring of symmetric functions are provided.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .partitions import parse_rational, rational_str
-from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, TPoly, convert
+from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, TPoly, convert, multiply
 
 FLAVORS = ("ogf", "egf")
 
@@ -44,6 +45,9 @@ class RationalRing:
 
     def is_unit(self, a) -> bool:
         return a != 0
+
+    def mul(self, a, b):
+        return a * b
 
     def invert(self, a):
         if a == 0:
@@ -79,6 +83,9 @@ class TPolyRing:
 
     def is_unit(self, a) -> bool:
         return set(a.coeffs) == {0}
+
+    def mul(self, a, b):
+        return a * b
 
     def invert(self, a):
         if not self.is_unit(a):
@@ -122,6 +129,9 @@ class SymFuncRing:
 
     def is_unit(self, a) -> bool:
         return set(a.terms) == {()}
+
+    def mul(self, a, b):
+        return multiply(a, b, self.cap)
 
     def invert(self, a):
         if not self.is_unit(a):
@@ -248,7 +258,10 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         return TruncatedSeries(
-            self.ring, self.flavor, self.order, [c * a for a in self.coeffs]
+            self.ring,
+            self.flavor,
+            self.order,
+            [self.ring.mul(c, a) for a in self.coeffs],
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -265,7 +278,7 @@ class TruncatedSeries:
             for j in range(self.order + 1 - i):
                 b = other.coeffs[j]
                 if not self.ring.is_zero(b):
-                    out[i + j] = out[i + j] + a * b
+                    out[i + j] = out[i + j] + self.ring.mul(a, b)
         return TruncatedSeries(self.ring, self.flavor, self.order, out)
 
     def inv(self) -> "TruncatedSeries":
@@ -278,8 +291,8 @@ class TruncatedSeries:
         for n in range(1, self.order + 1):
             acc = self.ring.zero()
             for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc))
+                acc = acc + self.ring.mul(self.coeffs[k], out[n - k])
+            out.append(-self.ring.mul(inv0, acc))
         return TruncatedSeries(self.ring, self.flavor, self.order, out)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -313,7 +326,7 @@ class TruncatedSeries:
             candidate = TruncatedSeries(self.ring, self.flavor, self.order, g)
             residue = self.compose(candidate).coeffs[n]
             # only the linear term of self contributes g_n at order n
-            g[n] = -(inv1 * residue)
+            g[n] = -self.ring.mul(inv1, residue)
         return TruncatedSeries(self.ring, self.flavor, self.order, g)
 
     # -- serialization ------------------------------------------------------------

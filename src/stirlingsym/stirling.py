@@ -17,6 +17,12 @@ adjacent chains link a < b when B(b) starts right after B(a) ends;
 j-terminally nested chains link a to the letter whose block is the final
 block inside the j-th gap of B(a).  The reversal map converts these to the
 descending adjacent and j-initially nested variants.
+
+The type sums (:func:`stirling_symfunc`) and descent polynomials
+(:func:`eulerian_polynomial`) are computed by block-insertion recurrences
+that build no word: a tally over partitions of n and a row of descent
+counts.  Enumeration (:func:`enumerate_stirling` and the independent
+backtracking walk) is kept as the oracle the tests compare them with.
 """
 
 from __future__ import annotations
@@ -76,10 +82,13 @@ class StirlingPerm:
         return list(self.word)
 
 
-@lru_cache(maxsize=32)
-def _all_stirling(n: int, r: int) -> tuple[StirlingPerm, ...]:
+def _check_size(n: int, r: int) -> None:
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
+
+
+def _all_stirling(n: int, r: int) -> list[StirlingPerm]:
+    _check_size(n, r)
     words = [()]
     for k in range(1, n + 1):
         block = (k,) * r
@@ -87,12 +96,12 @@ def _all_stirling(n: int, r: int) -> tuple[StirlingPerm, ...]:
             w[:i] + block + w[i:] for w in words for i in range(len(w) + 1)
         ]
     words.sort()
-    return tuple(StirlingPerm(w, n, r) for w in words)
+    return [StirlingPerm(w, n, r) for w in words]
 
 
 def enumerate_stirling(n: int, r: int) -> list[StirlingPerm]:
     """All of Q(n, r) by iterated block insertion, sorted lexicographically."""
-    return list(_all_stirling(n, r))
+    return _all_stirling(n, r)
 
 
 def enumerate_stirling_backtrack(n: int, r: int) -> list[tuple[int, ...]]:
@@ -103,8 +112,7 @@ def enumerate_stirling_backtrack(n: int, r: int) -> list[tuple[int, ...]]:
     innermost open letter.  Used as a cross-validation oracle for the
     insertion route.
     """
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
+    _check_size(n, r)
     out: list[tuple[int, ...]] = []
     remaining = [r] * (n + 1)
 
@@ -276,35 +284,71 @@ def _validate_kind(kind: str, j: int, r: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _type_tally(n: int, r: int, kind: str, j: int) -> tuple:
-    tally: dict[Partition, int] = {}
-    for sp in _all_stirling(n, r):
-        lam = type_of(sp, kind, j)
-        tally[lam] = tally.get(lam, 0) + 1
+def _type_tally(n: int, r: int) -> tuple:
+    # Q(m+1, r) arises by inserting the block (m+1)^r into one of the mr+1
+    # slots of a word of Q(m, r).  Letter a owns one slot (right after B(a)
+    # for AA, the end of its j-th gap for TN_j): inserting there sends a's
+    # chain link to m+1, so a chain of length k with a at position i splits
+    # into parts i+1 and k-i (or becomes k+1 when i = k).  The other
+    # m(r-1)+1 slots add the singleton chain (m+1).  DA and IN_j are the
+    # images of AA and TN_{r-j} under reversal, so every kind tallies alike.
+    _check_size(n, r)
+    tally: dict[Partition, int] = {(): 1}
+    for m in range(n):
+        step: dict[Partition, int] = {}
+        for lam, count in tally.items():
+            key = lam + (1,)
+            step[key] = step.get(key, 0) + (m * (r - 1) + 1) * count
+            for k in set(lam):
+                rest = list(lam)
+                rest.remove(k)
+                weight = lam.count(k) * count
+                for i in range(1, k):
+                    key = sort_to_partition(rest + [i + 1, k - i])
+                    step[key] = step.get(key, 0) + weight
+                key = sort_to_partition(rest + [k + 1])
+                step[key] = step.get(key, 0) + weight
+        tally = step
     return tuple(sorted(tally.items()))
 
 
 def stirling_symfunc(n: int, r: int, kind: str = "AA", j: int = 1) -> SymFunc:
     """Sum of e_(type) over all of Q(n, r), in the elementary basis.
 
-    The choice of type statistic does not change the result (the four types
-    are equidistributed); tests assert this rather than the function.
+    Computed by the block-insertion recurrence over partitions of n (Gessel
+    and Stanley, "Stirling polynomials", JCTA 1978), which no word is built
+    for.  The four type statistics give the same recurrence, so ``kind`` and
+    ``j`` are only validated; the tests compare the result with the tally of
+    ``type_of`` over ``enumerate_stirling`` for every kind.
     """
     _validate_kind(kind, j, r)
-    return SymFunc("e", {lam: Fraction(c) for lam, c in _type_tally(n, r, kind, j)})
+    return SymFunc("e", {lam: Fraction(c) for lam, c in _type_tally(n, r)})
 
 
 @lru_cache(maxsize=None)
 def _descent_tally(n: int, r: int) -> tuple:
-    tally: dict[int, int] = {}
-    for sp in _all_stirling(n, r):
-        d = stats(sp)["des"]
-        tally[d] = tally.get(d, 0) + 1
-    return tuple(sorted(tally.items()))
+    # the block (m+1)^r goes into one of the mr+1 slots of a word of Q(m, r),
+    # each between two adjacent letters (sentinels included).  Inserting at
+    # one of the d descents keeps d; the other mr+1-d slots raise it by one:
+    # C(m+1, d) = d C(m, d) + (mr+2-d) C(m, d-1)  (Park, "The
+    # r-multipermutations", JCTA 1994)
+    _check_size(n, r)
+    row = [1]
+    for m in range(n):
+        row = [
+            (d * row[d] if d < len(row) else 0)
+            + ((m * r + 2 - d) * row[d - 1] if d else 0)
+            for d in range(len(row) + 1)
+        ]
+    return tuple((d, c) for d, c in enumerate(row) if c)
 
 
 def eulerian_polynomial(n: int, r: int) -> TPoly:
-    """Descent generating polynomial over Q(n, r), sentinels included."""
+    """Descent generating polynomial over Q(n, r), sentinels included.
+
+    Computed by the descent-slot recurrence; ``eulerian_brute_force`` and the
+    tests tally ``stats`` over enumerated words as oracles.
+    """
     return TPoly({d: Fraction(c) for d, c in _descent_tally(n, r)})
 
 

@@ -163,3 +163,10 @@ def test_tables_stdout(capsys):
     assert code == 0
     assert "type-sum expansions for r=1" in out
     assert "2*m(2) + 5*m(1,1)" in out
+
+
+def test_tables_rejects_negative_nmax(capsys):
+    code, out, err = run(capsys, "tables", "--nmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--nmax" in err

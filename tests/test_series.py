@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from stirlingsym.partitions import partitions_of
 from stirlingsym.series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
-from stirlingsym.symfunc import SymFunc, TPoly, basis_element, convert, specialize_E
+from stirlingsym.symfunc import (
+    DEFAULT_DEGREE_CAP,
+    DegreeCapError,
+    SymFunc,
+    TPoly,
+    basis_element,
+    convert,
+    specialize_E,
+)
 
 ORDER = 6
 
@@ -159,6 +167,21 @@ def test_specialization_commutes_with_composition():
         assert specialize_series(f.compose(g)) == specialize_series(f).compose(
             specialize_series(g)
         )
+
+
+def test_symfunc_ring_cap_bounds_products():
+    h5 = SymFunc("h", {(5,): 1})
+
+    def square(cap):
+        ring = SymFuncRing(basis="h", cap=cap)
+        f = TruncatedSeries.from_coefficients(ring, "ogf", 2, [ring.one(), h5])
+        return f.mul(f)
+
+    assert square(12).coefficient(2) == SymFunc("h", {(5, 5): 1})
+    with pytest.raises(DegreeCapError, match="cap 9"):
+        square(9)
+    with pytest.raises(DegreeCapError, match="cap 8"):
+        square(DEFAULT_DEGREE_CAP)
 
 
 def test_flavor_and_order_mismatch_rejected():

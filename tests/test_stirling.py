@@ -1,8 +1,10 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from stirlingsym import cli, stirling
 from stirlingsym.stirling import (
     StirlingPerm,
     ascending_adjacent_type,
@@ -172,17 +174,67 @@ def test_type_sum_examples():
     )
 
 
-def test_type_sum_independent_of_kind():
-    for n, r in [(3, 2), (4, 2), (3, 3), (4, 1)]:
-        reference = stirling_symfunc(n, r, "AA")
-        assert stirling_symfunc(n, r, "DA") == reference
-        for j in range(1, r):
-            assert stirling_symfunc(n, r, "TN", j) == reference
-            assert stirling_symfunc(n, r, "IN", j) == reference
+def _size(n, r):
+    size = 1
+    for k in range(1, n + 1):
+        size *= (k - 1) * r + 1
+    return size
+
+
+KIND_CASES = [
+    (n, r, kind, j)
+    for r in range(1, 5)
+    for n in itertools.takewhile(lambda n: _size(n, r) <= 10**5, itertools.count())
+    for kind, js in (("AA", [1]), ("DA", [1]), ("TN", range(1, r)), ("IN", range(1, r)))
+    for j in js
+]
+
+
+@lru_cache(maxsize=1)
+def _oracle_words(n, r):
+    return enumerate_stirling(n, r)
+
+
+def _tally(values):
+    tally = {}
+    for v in values:
+        tally[v] = tally.get(v, 0) + 1
+    return tally
+
+
+@pytest.mark.parametrize("n,r,kind,j", KIND_CASES)
+def test_recurrences_match_enumeration(n, r, kind, j):
+    # the recurrences build no word; enumeration is the oracle
+    words = _oracle_words(n, r)
+    types = _tally(type_of(sp, kind, j) for sp in words)
+    assert stirling_symfunc(n, r, kind, j) == SymFunc("e", types)
+    descents = _tally(stats(sp)["des"] for sp in words)
+    assert eulerian_polynomial(n, r) == TPoly(descents)
+
+
+def test_bad_kind_is_rejected():
     with pytest.raises(ValueError):
         stirling_symfunc(3, 1, "TN", 1)
     with pytest.raises(ValueError):
         stirling_symfunc(3, 2, "TN", 2)
+    with pytest.raises(ValueError):
+        stirling_symfunc(3, 2, "XX")
+
+
+def test_production_route_builds_no_word(monkeypatch, capsys):
+    def refuse(n, r):
+        raise AssertionError(f"enumerated Q({n}, {r})")
+
+    monkeypatch.setattr(stirling, "_all_stirling", refuse)
+    stirling._type_tally.cache_clear()
+    stirling._descent_tally.cache_clear()
+    f = stirling_symfunc(9, 2)
+    assert sum(f.terms.values()) == _size(9, 2) == 34_459_425
+    poly = eulerian_polynomial(40, 2)
+    assert sum(poly.coeffs.values()) == _size(40, 2)
+    # the degree cap refuses F(9, 2) in m at once, not after 34M words
+    assert cli.main(["expand", "--n", "9", "--r", "2", "--basis", "m"]) == 2
+    assert "degree 9 exceeds the cap 8" in capsys.readouterr().err
 
 
 def brute_force_descents(n, r):
