@@ -310,24 +310,29 @@ class TruncatedSeries:
         return result
 
     def comp_inverse(self) -> "TruncatedSeries":
-        """Compositional inverse, solved degree by degree.
+        """Compositional inverse by Lagrange inversion.
 
-        Requires a zero constant term and a unit linear coefficient.  The
-        direct triangular solve is preferred over Newton iteration: orders are
-        tiny and the ring is exact.
+        Requires a zero constant term and a unit linear coefficient.  Write
+        self = y q(y) and h = 1/q; the inverse g has [y^n] g = [y^(n-1)] h^n / n
+        (Brent and Kung, "Fast algorithms for manipulating formal power
+        series", JACM 1978).  That is one multiplicative inverse and N
+        truncated products, O(N^3) ring products in all.  h is taken at order
+        N-1, never N: over the symmetric functions its y^k coefficient can
+        have degree k, and a degree-N coefficient could exceed the ring's
+        cap although every coefficient of g stays within it.
         """
-        if not self.ring.is_zero(self.coeffs[0]):
+        ring = self.ring
+        if not ring.is_zero(self.coeffs[0]):
             raise ValueError("compositional inverse needs zero constant term")
-        if not self.ring.is_unit(self.coeffs[1]):
+        if not ring.is_unit(self.coeffs[1]):
             raise ValueError("compositional inverse needs a unit linear term")
-        inv1 = self.ring.invert(self.coeffs[1])
-        g = [self.ring.zero(), inv1] + [self.ring.zero()] * (self.order - 1)
-        for n in range(2, self.order + 1):
-            candidate = TruncatedSeries(self.ring, self.flavor, self.order, g)
-            residue = self.compose(candidate).coeffs[n]
-            # only the linear term of self contributes g_n at order n
-            g[n] = -self.ring.mul(inv1, residue)
-        return TruncatedSeries(self.ring, self.flavor, self.order, g)
+        h = TruncatedSeries(ring, self.flavor, self.order - 1, self.coeffs[1:]).inv()
+        power = TruncatedSeries.one(ring, self.flavor, self.order - 1)
+        g = [ring.zero()]
+        for n in range(1, self.order + 1):
+            power = power.mul(h)
+            g.append(ring.mul(ring.from_rational(Fraction(1, n)), power.coeffs[n - 1]))
+        return TruncatedSeries(ring, self.flavor, self.order, g)
 
     # -- serialization ------------------------------------------------------------
 

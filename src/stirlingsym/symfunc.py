@@ -24,6 +24,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from .partitions import (
     Partition,
@@ -39,7 +40,9 @@ BASES = ("m", "e", "h", "p", "s")
 
 #: Largest homogeneous degree the package will convert or multiply by default.
 #: Operations that would exceed the cap raise DegreeCapError instead of
-#: silently truncating.
+#: silently truncating.  The type sums of :mod:`stirlingsym.stirling` have
+#: their own size limit, ``stirling.TYPE_SUM_MAX_N``, since the default basis
+#: ``e`` converts nothing and so meets no degree cap.
 DEFAULT_DEGREE_CAP = 8
 
 
@@ -196,6 +199,12 @@ def character(lam, mu) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer_terms(coeffs: dict) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(e, L*c)]) with L the lcm of the denominators of ``coeffs``."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()]
+
+
 class TPoly:
     """Polynomial in one variable t with exact rational coefficients."""
 
@@ -257,11 +266,18 @@ class TPoly:
             return TPoly({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, TPoly):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
-        return TPoly(out)
+        # convolve integer numerators over the common denominator da*db, then
+        # reduce once per output term instead of once per partial product
+        da, a = _integer_terms(self.coeffs)
+        db, b = _integer_terms(other.coeffs)
+        acc: dict[int, int] = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+        den = da * db
+        out = TPoly()
+        out.coeffs = {e: Fraction(c, den) for e, c in acc.items() if c}
+        return out
 
     __rmul__ = __mul__
 

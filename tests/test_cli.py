@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from stirlingsym import cli
+from stirlingsym import cli, stirling
 from stirlingsym.report import VerificationReport
 from stirlingsym.symfunc import SymFunc
 
@@ -103,6 +103,32 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--identity", "all", "--format", "json")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("identity", ["prop12", "thm14"])
+def test_verify_order_meets_the_degree_cap(capsys, identity):
+    # the order-9 inverse has coefficients up to degree 8 = the default cap;
+    # an inversion that formed a degree-9 intermediate would exit 2 here
+    code, out, err = run(capsys, "verify", "--identity", identity, "--order", "9")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{identity} [order=9]: pass")
+    code, out, err = run(capsys, "verify", "--identity", identity, "--order", "10")
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 8" in err
+
+
+def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
+    def no_tally(n, r):
+        raise AssertionError("the type recurrence must not start")
+
+    monkeypatch.setattr(stirling, "_type_tally", no_tally)
+    code, out, err = run(capsys, "expand", "--n", "60", "--r", "2")
+    assert (code, out) == (2, "")
+    assert f"exceeds the type-sum limit {stirling.TYPE_SUM_MAX_N}" in err
+    # the limit itself is accepted
+    monkeypatch.setattr(stirling, "_type_tally", lambda n, r: (((n,), 1),))
+    code, out, _ = run(capsys, "expand", "--n", str(stirling.TYPE_SUM_MAX_N), "--r", "2")
+    assert (code, out) == (0, f"e({stirling.TYPE_SUM_MAX_N})\n")
 
 
 def test_invert(capsys):

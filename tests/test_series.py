@@ -184,6 +184,77 @@ def test_symfunc_ring_cap_bounds_products():
         square(DEFAULT_DEGREE_CAP)
 
 
+def recomposition_inverse(f):
+    """Oracle: the compositional inverse solved coefficient by coefficient.
+
+    Only the linear term of f contributes g_n to the y^n coefficient of
+    f(g), so each g_n is read off one full recomposition, O(N^4) products.
+    """
+    ring = f.ring
+    inv1 = ring.invert(f.coeffs[1])
+    g = [ring.zero(), inv1] + [ring.zero()] * (f.order - 1)
+    for n in range(2, f.order + 1):
+        candidate = TruncatedSeries(ring, f.flavor, f.order, g)
+        g[n] = -ring.mul(inv1, f.compose(candidate).coeffs[n])
+    return TruncatedSeries(ring, f.flavor, f.order, g)
+
+
+def assert_comp_inverse_matches_oracle(f):
+    g = f.comp_inverse()
+    assert g == recomposition_inverse(f)
+    ident = TruncatedSeries.identity(f.ring, f.flavor, f.order)
+    assert f.compose(g) == ident
+    assert g.compose(f) == ident
+
+
+# each ring with the largest order its random series are inverted at
+ORACLE_RINGS = [(QQ, 12), (QT, 10), (SymFuncRing(basis="h"), 8), (SymFuncRing(basis="m"), 8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ORACLE_RINGS),
+    st.integers(0, 2**32),
+    st.sampled_from(["ogf", "egf"]),
+    st.data(),
+)
+def test_comp_inverse_matches_recomposition(ring_and_order, seed, flavor, data):
+    ring, max_order = ring_and_order
+    order = data.draw(st.integers(1, max_order), label="order")
+    rng = random.Random(seed)
+    coeffs = random_series_coeffs(ring, rng, order)
+    coeffs[0] = ring.zero()
+    coeffs[1] = random_unit(ring, rng)
+    f = TruncatedSeries.from_function(ring, flavor, order, coeffs.__getitem__)
+    assert_comp_inverse_matches_oracle(f)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 10])
+def test_comp_inverse_of_thm17_closed_form(order):
+    # y + sum_{n>=2} -t(1-t)^(n-2) y^n/n!, whose inverse has the second-order
+    # Eulerian polynomials as coefficients
+    t, one = TPoly.t(), TPoly.const(1)
+    closed = TruncatedSeries.from_egf_coefficients(
+        QT, order, [TPoly(), one] + [-t * (one - t) ** (n - 2) for n in range(2, order + 1)]
+    )
+    assert_comp_inverse_matches_oracle(closed)
+
+
+@pytest.mark.parametrize("basis", ["h", "m"])
+@pytest.mark.parametrize("flavor", ["ogf", "egf"])
+def test_comp_inverse_of_shifted_h_series(basis, flavor):
+    # sum_{n>=1} (-1)^(n-1) h_(n-1) y^n at order 8: as an OGF this is the prop12
+    # series, as an EGF the thm14 series
+    ring = SymFuncRing(basis=basis)
+    order = 8
+    coeffs = [ring.zero()] + [
+        convert((-1) ** (n - 1) * basis_element("h", (n - 1,) if n > 1 else ()), basis)
+        for n in range(1, order + 1)
+    ]
+    f = TruncatedSeries.from_function(ring, flavor, order, coeffs.__getitem__)
+    assert_comp_inverse_matches_oracle(f)
+
+
 def test_flavor_and_order_mismatch_rejected():
     a = TruncatedSeries.one(QQ, "ogf", 4)
     b = TruncatedSeries.one(QQ, "egf", 4)

@@ -1,9 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stirlingsym.partitions import conjugate, partitions_of, z_of
 from stirlingsym.symfunc import (
@@ -275,3 +276,40 @@ def test_tpoly_basics():
     assert str(TPoly({1: 1, 2: 8, 3: 6})) == "t + 8*t^2 + 6*t^3"
     assert str(TPoly()) == "0"
     assert TPoly.from_json(p.to_json()) == p
+
+
+def naive_tpoly_product(a, b):
+    """Oracle: Fraction convolution of the stored coefficients."""
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+tpolys = st.dictionaries(
+    st.integers(0, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    max_size=5,
+).map(TPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tpolys, tpolys, st.fractions(min_value=-9, max_value=9, max_denominator=12))
+@example(TPoly(), T + 1, Fraction(0))
+@example(TPoly.const(Fraction(-2, 3)), TPoly.const(Fraction(3, 4)), Fraction(1))
+@example(T + 1, T - 1, Fraction(-1))  # the t terms cancel
+@example(TPoly({0: Fraction(1, 2), 1: Fraction(1, 3)}),
+         TPoly({0: Fraction(1, 2), 1: Fraction(-1, 3)}), Fraction(5, 6))
+@example(TPoly({1: Fraction(1, 6), 2: Fraction(-1, 4)}),
+         TPoly({0: Fraction(3, 2), 1: Fraction(1, 1)}), Fraction(2))
+def test_tpoly_product_matches_fraction_convolution(a, b, q):
+    prod = a * b
+    assert prod.coeffs == naive_tpoly_product(a, b)
+    for c in prod.coeffs.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    # scalar products keep their own path
+    scaled = {e: c * q for e, c in a.coeffs.items() if c * q}
+    assert (a * q).coeffs == scaled and (q * a).coeffs == scaled
+    assert (a * 3).coeffs == {e: 3 * c for e, c in a.coeffs.items()}
