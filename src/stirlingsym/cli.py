@@ -2,7 +2,12 @@
 
 Verbs: expand, enumerate, eulerian, verify, invert, wp, mobius, tables.
 Exit status: 0 on success (and on passing verifications), 1 when a
-verification fails, 2 on usage errors.  All output is deterministic.
+verification fails, 2 on usage errors and refused sizes, 3 when the work ran
+out of memory or recursion depth, 130 on Ctrl-C.  Errors are one line on
+stderr, never a traceback.  All output is deterministic.
+
+Comma-list values may start with a minus sign in either form:
+``--coeffs -1,2,3`` reads like ``--coeffs=-1,2,3``.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +26,29 @@ from .posets import interval
 from .stirling import enumerate_stirling, eulerian_polynomial, stirling_symfunc
 from .symfunc import convert, render_symfunc
 from .trees import enumerate_normalized, render_tree, tree_to_json
+
+
+#: Options whose value is a comma list that may start with a negative number.
+_LIST_OPTIONS = ("--coeffs", "--mu", "--lambda")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--coeffs -1,2`` as ``--coeffs=-1,2``.
+
+    argparse reads a separate value such as ``-1,2`` as an unknown flag; only
+    the attached ``=`` form reaches the option.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if (argv[i] in _LIST_OPTIONS and i + 1 < len(argv)
+                and re.match(r"-[\d.]", argv[i + 1])):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -253,12 +282,19 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.verb](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -33,6 +32,7 @@ from .stirling import (
 )
 from .symfunc import SymFunc, TPoly, basis_element, convert, evaluate_h, specialize_E
 from .trees import (
+    COLORED_MAX_N,
     colored_generating_function,
     comb_type,
     enumerate_colored,
@@ -523,6 +523,8 @@ def check_forbidden(order: int = 5) -> VerificationReport:
 def check_drake(order: int = 6) -> VerificationReport:
     """Compositional inverse of the forbidden-chain EGF enumerates the
     colored trees, coefficient by coefficient, for both coloring conditions."""
+    if order > COLORED_MAX_N:
+        raise ValueError(f"order={order} exceeds the colored-tree limit {COLORED_MAX_N}")
     for kind in ("lyn", "comb"):
         inv = forbidden_tree_egf(kind, order).comp_inverse()
         for n in range(1, order + 1):
@@ -547,20 +549,17 @@ def check_drake(order: int = 6) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _type_sum_h(n: int, r: int) -> SymFunc:
-    return convert(stirling_symfunc(n, r), "h")
-
-
 def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
     """Coefficients of the inverse EGF via the h-expansion evaluations.
 
     ``f`` lists the semantic coefficients f_n of y^n/n!.  For kind "mult"
     the n-th semantic output coefficient is (-1)^n f_0^{-1} P_n evaluated at
-    h_i = f_i/f_0, where P_n is the permutation-type sum written in the h
-    generators; for kind "comp" it is (-1)^(n-1) f_1^{-n} Q_(n-1) evaluated
-    at h_i = f_(i+1)/f_1, with Q the doubled-letter analogue.  Must agree
-    with the direct triangular inversions.
+    h_i = f_i/f_0, where P_n is the permutation-type sum; for kind "comp" it
+    is (-1)^(n-1) f_1^{-n} Q_(n-1) evaluated at h_i = f_(i+1)/f_1, with Q
+    the doubled-letter analogue.  The type sums stay in the e basis:
+    :func:`evaluate_h` derives the images of e_k from the values of h_k, so
+    no basis conversion (and no degree cap) is involved.  Must agree with
+    the direct triangular inversions.
     """
     f = [Fraction(x) for x in f]
     if len(f) < order + 1:
@@ -570,7 +569,7 @@ def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
             raise ValueError("multiplicative inverse needs f_0 != 0")
         values = {i: f[i] / f[0] for i in range(1, order + 1)}
         return [
-            (-1) ** n / f[0] * evaluate_h(_type_sum_h(n, 1), values)
+            (-1) ** n / f[0] * evaluate_h(stirling_symfunc(n, 1), values)
             for n in range(order + 1)
         ]
     if kind == "comp":
@@ -582,7 +581,7 @@ def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
             out.append(
                 (-1) ** (n - 1)
                 * f[1] ** (-n)
-                * evaluate_h(_type_sum_h(n - 1, 2), values)
+                * evaluate_h(stirling_symfunc(n - 1, 2), values)
             )
         return out
     raise ValueError("kind must be 'mult' or 'comp'")

@@ -171,6 +171,9 @@ def _subset_leq(x, y) -> bool:
 
 def interval(kind: str, n: int, mu) -> Interval:
     """Materialize the maximal interval below the one-block/full-set top."""
+    negative = [x for x in mu if x < 0]
+    if negative:
+        raise ValueError(f"mu={tuple(mu)} has a negative part {negative[0]}")
     if kind == "pi":
         return _partition_interval(n, mu)
     if kind == "b":

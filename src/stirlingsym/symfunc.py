@@ -13,6 +13,11 @@ coefficients at partition exponents.  The Schur basis is handled through
 symmetric-group characters (Murnaghan-Nakayama recursion) pivoting on the
 power-sum basis, so everything stays in exact integer/rational arithmetic.
 
+The algebra maps :func:`specialize_E` (e_i -> t) and :func:`evaluate_h`
+(h_i -> values) are fixed by the images of one generator family: the images
+of e_k, h_k and p_k follow from the e-h relation and Newton's identity, and
+an e-, h- or p-basis input maps term by term without any conversion.
+
 Elements are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  The per-degree transition
 matrices are computed once and kept in a lock-protected cache.
@@ -588,28 +593,83 @@ def omega(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     return convert(omega(convert(f, "e", cap), cap), "m", cap)
 
 
+# ---------------------------------------------------------------------------
+# algebra maps out of the ring, fixed by the images of one generator family
+# ---------------------------------------------------------------------------
+
+
+def _generator_images(family: str, image, basis: str, top: int, one) -> list:
+    """[1, b_1, ..., b_top]: images of the generators b_k of ``basis`` under
+    the algebra map sending family_k to image(k), for family "e" or "h" and
+    basis another of e, h, p.
+
+    The other of e and h follows from sum_i (-1)^i e_i h_(k-i) = 0, which is
+    symmetric in e and h; p follows from Newton's k h_k = sum_i p_i h_(k-i).
+    """
+    zero = one * 0
+    given = [one] + [image(k) for k in range(1, top + 1)]
+    other = [one]
+    for k in range(1, top + 1):
+        other.append(sum(
+            (given[i] * other[k - i] * (-1) ** (i - 1) for i in range(1, k + 1)), zero
+        ))
+    if basis != "p":
+        return other
+    h = given if family == "h" else other
+    p = [one]
+    for k in range(1, top + 1):
+        p.append(h[k] * k - sum((p[i] * h[k - i] for i in range(1, k)), zero))
+    return p
+
+
+def _apply_algebra_map(f: SymFunc, family: str, image, one, cap: int):
+    """The image of f under the algebra map sending family_k to image(k).
+
+    e, h and p inputs map term by term: b_lam goes to the product of its
+    parts' images, in the ring of ``one``.  Inputs of the map's own family
+    ask image(k) only for the parts that occur.  An m input is first converted to ``family`` and an s
+    input to p (by characters); these two conversions are bounded by cap.
+    """
+    if f.basis == "m":
+        f = convert(f, family, cap)
+    elif f.basis == "s":
+        f = convert(f, "p", cap)
+    if f.basis == family:
+        gen = image
+    else:
+        top = max((lam[0] for lam in f.terms if lam), default=0)
+        gen = _generator_images(family, image, f.basis, top, one).__getitem__
+    total = one * 0
+    for lam, c in f.terms.items():
+        prod = one
+        for part in lam:
+            prod = prod * gen(part)
+        total = total + prod * c
+    return total
+
+
 def specialize_E(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> TPoly:
     """The algebra map sending every e_i (i >= 1) to t.
 
-    Computed by converting to the elementary basis and mapping e_lam to
-    t^(l(lam)).
+    e_lam maps to t^(l(lam)); h, p (and s, through p) are mapped through the
+    images of h_k and p_k derived from e_k -> t, so only an m or s input is
+    converted and meets the degree cap.
     """
-    e = convert(f, "e", cap)
-    out: dict[int, Fraction] = {}
-    for lam, c in e.terms.items():
-        out[len(lam)] = out.get(len(lam), Fraction(0)) + c
-    return TPoly(out)
+    t = TPoly.t()
+    return _apply_algebra_map(f, "e", lambda k: t, TPoly.const(1), cap)
 
 
 def evaluate_h(f: SymFunc, values: dict, cap: int = DEFAULT_DEGREE_CAP) -> Fraction:
-    """Substitute values[i] for the generator h_i, multiplicatively on h_lam."""
-    h = convert(f, "h", cap)
-    total = Fraction(0)
-    for lam, c in h.terms.items():
-        prod = Fraction(1)
-        for part in lam:
-            if part not in values:
-                raise ValueError(f"no value provided for h_{part}")
-            prod *= Fraction(values[part])
-        total += c * prod
-    return total
+    """Substitute values[i] for the generator h_i, multiplicatively on h_lam.
+
+    An h input needs values only for the parts that occur; e and p inputs
+    (and s, through p) need h_1..h_k for their largest part k.  Only an m or
+    s input is converted and meets the degree cap.
+    """
+
+    def image(k: int) -> Fraction:
+        if k not in values:
+            raise ValueError(f"no value provided for h_{k}")
+        return Fraction(values[k])
+
+    return _apply_algebra_map(f, "h", image, Fraction(1), cap)

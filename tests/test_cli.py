@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from stirlingsym import cli, stirling
+from stirlingsym import cli, stirling, trees
+from stirlingsym.identities import check_drake
 from stirlingsym.report import VerificationReport
 from stirlingsym.symfunc import SymFunc
 
@@ -117,6 +118,36 @@ def test_verify_order_meets_the_degree_cap(capsys, identity):
     assert "exceeds the cap 8" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("riordan", "--order", "9"), ("lemma52", "--n", "12")],
+)
+def test_specializations_meet_no_degree_cap(capsys, argv):
+    # e_i -> t maps e and h inputs term by term, with no conversion to cap
+    code, out, err = run(capsys, "verify", "--identity", *argv)
+    assert (code, err) == (0, "")
+    assert ": pass" in out
+
+
+def test_htoe_still_meets_the_degree_cap(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "htoe", "--n", "9")
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 8" in err
+
+
+def test_drake_refuses_large_order_before_any_work(capsys, monkeypatch):
+    def no_colorings(*args):
+        raise AssertionError("the coloring walk must not start")
+
+    monkeypatch.setattr(trees, "_tally_colorings", no_colorings)
+    code, out, err = run(capsys, "verify", "--identity", "drake", "--order", "7")
+    assert (code, out) == (2, "")
+    assert f"exceeds the colored-tree limit {trees.COLORED_MAX_N}" in err
+    monkeypatch.undo()
+    assert trees.COLORED_MAX_N == 6
+    assert check_drake(6).passed
+
+
 def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
     def no_tally(n, r):
         raise AssertionError("the type recurrence must not start")
@@ -139,6 +170,39 @@ def test_invert(capsys):
     assert json.loads(out) == ["0", "1", "-1", "2", "-6"]
     code, _, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "0,1")
     assert code == 2
+
+
+def test_list_values_may_start_with_a_minus_sign(capsys):
+    attached = run(capsys, "invert", "--kind", "mult", "--coeffs=-1,2,3")
+    separate = run(capsys, "invert", "--kind", "mult", "--coeffs", "-1,2,3")
+    assert separate == attached == (0, "0: -1\n1: -2\n2: -11\n", "")
+    code, out, _ = run(capsys, "invert", "--kind", "mult", "--coeffs", "-1/2", "--format", "json")
+    assert (code, json.loads(out)) == (0, ["-2"])
+    for argv in (("--mu", "-1,3"), ("--mu=-1,3",)):
+        code, out, err = run(capsys, "mobius", "--poset", "pi", "--n", "3", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: mu=(-1, 3) has a negative part -1\n"
+    # a flag after a list option is still a missing value
+    with pytest.raises(SystemExit) as info:
+        cli.main(["invert", "--kind", "mult", "--coeffs", "--format", "json"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (MemoryError(), 3, "error: MemoryError\n"),
+        (RecursionError("maximum recursion depth exceeded"), 3,
+         "error: RecursionError: maximum recursion depth exceeded\n"),
+        (KeyboardInterrupt(), 130, "error: interrupted\n"),
+    ],
+)
+def test_resource_errors_exit_with_one_line(capsys, monkeypatch, exc, code, message):
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "wp", raise_it)
+    assert run(capsys, "wp", "--lambda", "2,1") == (code, "", message)
 
 
 def test_wp(capsys):

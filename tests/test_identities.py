@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -111,6 +112,63 @@ def test_invert_egf_numeric_preconditions():
         invert_egf_numeric("comp", [0, 0, 1], 2)
     with pytest.raises(ValueError):
         invert_egf_numeric("what", [1], 0)
+
+
+def fraction_egf_inverse(kind, f):
+    """Oracle: coefficient-by-coefficient triangular solve over Fraction.
+
+    Works on the ordinary coefficients a_n = f_n/n! and returns the semantic
+    (EGF) coefficients of the multiplicative or compositional inverse.
+    """
+    order = len(f) - 1
+    a = [Fraction(x) / factorial(n) for n, x in enumerate(f)]
+
+    def mul(u, v):
+        return [sum(u[i] * v[n - i] for i in range(n + 1)) for n in range(order + 1)]
+
+    g = [Fraction(0)] * (order + 1)
+    if kind == "mult":
+        # sum_i a_i g_(n-i) = [n == 0]
+        for n in range(order + 1):
+            g[n] = (int(n == 0) - sum(a[i] * g[n - i] for i in range(1, n + 1))) / a[0]
+    else:
+        # [y^n] sum_k a_k g^k = [n == 1]; g_n enters only through a_1 g_n
+        g[1] = 1 / a[1]
+        for n in range(2, order + 1):
+            power, rest = g[:], Fraction(0)
+            for k in range(2, n + 1):
+                power = mul(power, g)
+                rest += a[k] * power[n]
+            g[n] = -rest / a[1]
+    return [g[n] * factorial(n) for n in range(order + 1)]
+
+
+def test_fraction_egf_inverse_oracle():
+    # exp(y) -> exp(-y), and exp(y) - 1 -> log(1+y)
+    assert fraction_egf_inverse("mult", [1] * 6) == [1, -1, 1, -1, 1, -1]
+    assert fraction_egf_inverse("comp", [0] + [1] * 5) == [0, 1, -1, 2, -6, 24]
+
+
+@pytest.mark.parametrize(
+    "kind, coeffs",
+    [
+        ("mult", "3/2,-1,2,1/3,-4,5,0,7/2,-1"),
+        ("comp", "0,-2/3,1,-1/2,3,0,2,-5,1/4,6"),
+    ],
+)
+def test_invert_builds_no_transition_matrix(capsys, monkeypatch, kind, coeffs):
+    from stirlingsym import cli, symfunc
+
+    def refuse(*args):
+        raise AssertionError("invert must not convert between bases")
+
+    monkeypatch.setattr(symfunc, "_to_m_matrix", refuse)
+    monkeypatch.setattr(symfunc, "_from_m_matrix", refuse)
+    code = cli.main(["invert", "--kind", kind, f"--coeffs={coeffs}", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    want = fraction_egf_inverse(kind, [Fraction(x) for x in coeffs.split(",")])
+    assert [Fraction(x) for x in json.loads(out)] == want
 
 
 def test_inversion_check():

@@ -202,6 +202,71 @@ def test_evaluate_h():
         evaluate_h(basis_element("h", (3,)), {1: 1})
 
 
+def convert_then_specialize_E(f):
+    """Oracle: the route through the e basis, t^(l(lam)) on each e_lam."""
+    out = {}
+    for lam, c in convert(f, "e").terms.items():
+        out[len(lam)] = out.get(len(lam), 0) + c
+    return TPoly(out)
+
+
+def convert_then_evaluate_h(f, values):
+    """Oracle: the route through the h basis, values multiplied over parts."""
+    total = Fraction(0)
+    for lam, c in convert(f, "h").terms.items():
+        prod = Fraction(1)
+        for part in lam:
+            prod *= values[part]
+        total += c * prod
+    return total
+
+
+small_partitions = st.integers(0, 7).flatmap(lambda d: st.sampled_from(partitions_of(d)))
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(BASES),
+    st.dictionaries(small_partitions, small_fractions, max_size=5),
+    st.lists(small_fractions, min_size=7, max_size=7),
+)
+def test_algebra_maps_match_the_conversion_route(basis, terms, images):
+    f = SymFunc(basis, terms)
+    values = {k: images[k - 1] for k in range(1, 8)}
+    assert specialize_E(f) == convert_then_specialize_E(f)
+    assert evaluate_h(f, values) == convert_then_evaluate_h(f, values)
+
+
+def test_algebra_maps_need_no_conversion_for_multiplicative_bases(monkeypatch):
+    import stirlingsym.symfunc as symfunc
+
+    def refuse(*args):
+        raise AssertionError("no transition matrix may be built")
+
+    monkeypatch.setattr(symfunc, "_to_m_matrix", refuse)
+    monkeypatch.setattr(symfunc, "_from_m_matrix", refuse)
+    # beyond the degree cap, since e, h and p inputs are mapped term by term
+    assert specialize_E(basis_element("e", (9, 3))) == T * T
+    assert specialize_E(basis_element("h", (9,))) == T * (T - ONE) ** 8
+    assert specialize_E(basis_element("p", (2,))) == T * T - 2 * T
+    values = {k: Fraction(1) for k in range(1, 10)}
+    # with every h_k = 1, sum h_k y^k = 1/(1-y), so sum e_k y^k = 1+y and
+    # sum p_k y^k / k = -log(1-y)
+    assert evaluate_h(basis_element("e", (9,)), values) == 0
+    assert evaluate_h(basis_element("e", (1, 1)), values) == 1
+    assert evaluate_h(basis_element("p", (9,)), values) == 1
+    with pytest.raises(ValueError, match="no value provided for h_3"):
+        evaluate_h(basis_element("e", (3,)), {1: 1, 2: 1})
+
+
+def test_algebra_maps_cap_the_conversions_they_still_make():
+    with pytest.raises(DegreeCapError, match="exceeds the cap 8"):
+        specialize_E(basis_element("m", (9,)))
+    with pytest.raises(DegreeCapError, match="exceeds the cap 8"):
+        evaluate_h(basis_element("s", (5, 4)), {k: 1 for k in range(1, 10)})
+
+
 def test_multiplication():
     one = SymFunc.one("h")
     f = basis_element("h", (2, 1))
