@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from stirlingsym import identities, moduli, posets
 from stirlingsym.identities import (
     check_drake,
     check_equicardinality,
@@ -26,6 +27,7 @@ from stirlingsym.identities import (
     noncrossing_partitions,
     registry,
 )
+from stirlingsym.partitions import sort_to_partition
 from stirlingsym.report import VerificationReport
 from stirlingsym.symfunc import SymFunc, basis_element
 
@@ -234,3 +236,101 @@ def test_registry_names():
         "thm65",
         "eulerian_oracle",
     } == names
+
+
+def _bump(value):
+    """A wrong answer of the same kind: one more, or one more item."""
+    if isinstance(value, list):
+        return value + value[:1]
+    if isinstance(value, SymFunc):
+        return value + SymFunc.one(value.basis)
+    return value + 1
+
+
+def _bumped(fn, when=lambda *args: True):
+    return lambda *args: _bump(fn(*args)) if when(*args) else fn(*args)
+
+
+def _wrong_type(fn, kind):
+    return lambda sp, k, j=1: (99,) if k == kind else fn(sp, k, j)
+
+
+def _not_analytic(kind, f, order):
+    # the exp and exp-1 cases pass, so the random samples are reached
+    return any(x not in (0, 1) for x in f)
+
+
+def _not_sorted(kind, n, mu):
+    return tuple(mu) != sort_to_partition(mu)
+
+
+# (identity, extra argv, module, name, replacement factory, location prefix):
+# one side of every check is replaced by a wrong answer, and the failing
+# report must point at the first place where the two sides differ
+FAILING_PATHS = [
+    ("prop11", ["--order", "3"], identities, "_e", _bumped, "y^0"),
+    ("prop12", ["--order", "3"], identities, "noncrossing_partitions", _bumped,
+     "|NC_0|"),
+    ("prop12", ["--order", "3"], identities, "noncrossing_e_sum", _bumped, "y^1"),
+    ("thm13", ["--order", "3"], identities, "stirling_symfunc", _bumped, "y^0"),
+    ("thm14", ["--order", "3"], identities, "stirling_symfunc", _bumped, "y^1"),
+    ("riordan", ["--order", "4"], identities, "eulerian_polynomial", _bumped,
+     "y^0"),
+    ("riordan", ["--order", "4"], identities, "specialize_E", _bumped,
+     "specialized lhs"),
+    ("riordan", ["--order", "4"], identities, "stirling_symfunc", _bumped,
+     "E at y^0"),
+    ("thm17", ["--order", "4"], identities, "eulerian_polynomial", _bumped, "y^1"),
+    ("thm17", ["--order", "4"], identities, "specialize_E", _bumped,
+     "specialized lhs y^0"),
+    ("thm17", ["--order", "4"], identities, "stirling_symfunc", _bumped,
+     "E at y^1"),
+    ("eulerian_oracle", ["--n", "3"], identities, "eulerian_brute_force",
+     _bumped, "(n=0, r=1)"),
+    ("htoe", ["--n", "4"], identities, "convert", _bumped, "h_0"),
+    ("lemma52", ["--n", "4"], identities, "specialize_E", _bumped, "h_1"),
+    ("equidist", ["--n", "3", "--r", "2"], identities, "type_of",
+     lambda fn: _wrong_type(fn, "DA"), "Q(3,2) DA"),
+    ("treeperm", ["--n", "4"], identities, "enumerate_normalized", _bumped,
+     "|Nor_1|"),
+    ("treeperm", ["--n", "4"], identities, "lyndon_type",
+     lambda fn: lambda t: (99,), "k=1 lyn vs AA"),
+    ("equicard", [], identities, "enumerate_colored",
+     lambda fn: _bumped(fn, lambda kind, mu: kind == "lyn"), "mu=()"),
+    ("forbidden", ["--order", "3"], identities, "convert", _bumped, "y^1"),
+    ("drake", ["--order", "3"], identities, "colored_generating_function",
+     _bumped, "lyn y^1"),
+    ("inversion", ["--order", "3"], identities, "invert_egf_numeric",
+     lambda fn: lambda *args: [x + 1 for x in fn(*args)], "exp y^0"),
+    ("inversion", ["--order", "3"], identities, "factorial", _bumped,
+     "log(1+y)"),
+    ("inversion", ["--order", "3"], identities, "invert_egf_numeric",
+     lambda fn: lambda *args: (
+         [x + 1 for x in fn(*args)] if _not_analytic(*args) else fn(*args)),
+     "mult#0 y^0"),
+    ("thm62", ["--n", "3"], posets, "mobius_invariant", _bumped, "n=1 mu=()"),
+    ("thm62", ["--n", "3"], posets, "mobius_invariant",
+     lambda fn: _bumped(fn, _not_sorted), "n=3 rearrangement (0, 1, 1) of (1, 1)"),
+    ("thm64", ["--n", "2"], posets, "mobius_invariant", _bumped, "n=1 mu=(1,)"),
+    ("thm64", ["--n", "2"], posets, "mobius_invariant",
+     lambda fn: _bumped(fn, _not_sorted), "n=2 rearrangement (0, 1, 1) of (1, 1)"),
+    ("thm65", ["--n", "2"], moduli, "wp_volume", _bumped, "degree 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "identity, argv, module, name, wrong, location",
+    FAILING_PATHS,
+    ids=[f"{case[0]}-{case[3]}-{case[5]}" for case in FAILING_PATHS],
+)
+def test_failing_check_pinpoints_the_first_mismatch(
+    capsys, monkeypatch, identity, argv, module, name, wrong, location
+):
+    from stirlingsym import cli
+
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    code = cli.main(["verify", "--identity", identity, "--json", *argv])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["pass"] is False
+    assert report["discrepancy"]["location"].startswith(location)
