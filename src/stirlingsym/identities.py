@@ -8,20 +8,20 @@ are deterministic (random inputs are drawn from fixed seeds) and exact.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .partitions import (
     Partition,
     binomial,
     compositions_of,
-    rational_str,
     sort_to_partition,
     trim,
     weak_compositions,
 )
-from .report import VerificationReport, series_report
+from .report import VerificationReport, coefficient_pairs, first_mismatch, series_report
 from .series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
 from .stirling import (
     enumerate_stirling,
@@ -30,7 +30,16 @@ from .stirling import (
     stirling_symfunc,
     type_of,
 )
-from .symfunc import SymFunc, TPoly, basis_element, convert, evaluate_h, specialize_E
+from .symfunc import (
+    DEFAULT_DEGREE_CAP,
+    SymFunc,
+    TPoly,
+    _check_cap,
+    basis_element,
+    convert,
+    evaluate_h,
+    specialize_E,
+)
 from .trees import (
     COLORED_MAX_N,
     colored_generating_function,
@@ -155,29 +164,22 @@ def check_prop11(order: int = 6) -> VerificationReport:
 def check_prop12(order: int = 6) -> VerificationReport:
     """OGF: the compositional inverse of the shifted alternating h series is
     the series of noncrossing-partition e-sums."""
-    catalan = [binomial(2 * k, k) // (k + 1) for k in range(8)]
-    for k in range(8):
-        found = noncrossing_partitions(k)
-        if len(found) != catalan[k] or not all(is_noncrossing(p) for p in found):
-            return VerificationReport(
-                "prop12",
-                {"order": order},
-                False,
-                {
-                    "location": f"|NC_{k}|",
-                    "lhs": str(len(found)),
-                    "rhs": str(catalan[k]),
-                },
-            )
-    lhs = _shifted_h_ogf(order).comp_inverse()
-    ring = SymFuncRing(basis="h")
-    coeffs = [SymFunc.zero("h")] + [
-        convert(noncrossing_e_sum(n - 1), "h") for n in range(1, order + 1)
-    ]
-    rhs = TruncatedSeries.from_coefficients(ring, "ogf", order, coeffs)
-    report = series_report("prop12", {"order": order}, lhs, rhs)
-    report.details.append("noncrossing counts match Catalan numbers up to C_7")
-    return report
+
+    def cases():
+        for k in range(8):
+            found = noncrossing_partitions(k)
+            catalan = binomial(2 * k, k) // (k + 1)
+            yield f"|NC_{k}|", len(found), catalan
+            yield f"|NC_{k}| noncrossing", sum(map(is_noncrossing, found)), catalan
+        ring = SymFuncRing(basis="h")
+        coeffs = [SymFunc.zero("h")] + [
+            convert(noncrossing_e_sum(n - 1), "h") for n in range(1, order + 1)
+        ]
+        rhs = TruncatedSeries.from_coefficients(ring, "ogf", order, coeffs)
+        yield from coefficient_pairs(_shifted_h_ogf(order).comp_inverse(), rhs)
+
+    details = ["noncrossing counts match Catalan numbers up to C_7"]
+    return first_mismatch("prop12", {"order": order}, cases(), details)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +213,11 @@ def check_thm14(order: int = 7) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _riordan_closed_form(order: int) -> TruncatedSeries:
-    """(1-t) / (1 - t exp((1-t)y)) written with a unit constant term.
+_COMMUTES = "t-specialization commutes coefficientwise"
+
+
+def _riordan_denominator(order: int) -> TruncatedSeries:
+    """1 - t G, the denominator of (1-t) / (1 - t exp((1-t)y)) over 1-t.
 
     Dividing numerator and denominator by 1-t gives 1/(1 - t G) where
     G = sum_{n>=1} (1-t)^(n-1) y^n / n!, whose inversion stays inside Q[t].
@@ -220,8 +225,7 @@ def _riordan_closed_form(order: int) -> TruncatedSeries:
     g = TruncatedSeries.from_egf_coefficients(
         QT, order, [TPoly()] + [(ONE - T) ** (n - 1) for n in range(1, order + 1)]
     )
-    one = TruncatedSeries.one(QT, "egf", order)
-    return (one - g.scale(T)).inv()
+    return TruncatedSeries.one(QT, "egf", order) - g.scale(T)
 
 
 def check_riordan(order: int = 8) -> VerificationReport:
@@ -230,40 +234,21 @@ def check_riordan(order: int = 8) -> VerificationReport:
     Also verifies that the t-specialization commutes with the underlying
     symmetric-function identity on both sides.
     """
-    closed = _riordan_closed_form(order)
+    denominator = _riordan_denominator(order)
     ref = TruncatedSeries.from_egf_coefficients(
         QT, order, [eulerian_polynomial(n, 1) for n in range(order + 1)]
     )
-    report = series_report("riordan", {"order": order}, closed, ref)
-    if not report.passed:
-        return report
-    # specialization commutes: E of each symmetric-function coefficient
-    lhs_egf = TruncatedSeries.from_egf_coefficients(
-        QT, order, [specialize_E((-1) ** n * _h(n)) for n in range(order + 1)]
-    )
-    one = TruncatedSeries.one(QT, "egf", order)
-    g = TruncatedSeries.from_egf_coefficients(
-        QT, order, [TPoly()] + [(ONE - T) ** (n - 1) for n in range(1, order + 1)]
-    )
-    if lhs_egf != one - g.scale(T):
-        return VerificationReport(
-            "riordan",
-            {"order": order},
-            False,
-            {"location": "specialized lhs", "lhs": "E(h series)", "rhs": "1 - t*G"},
-        )
-    for n in range(order + 1):
-        a = specialize_E(stirling_symfunc(n, 1))
-        b = eulerian_polynomial(n, 1)
-        if a != b:
-            return VerificationReport(
-                "riordan",
-                {"order": order},
-                False,
-                {"location": f"E at y^{n}", "lhs": str(a), "rhs": str(b)},
-            )
-    report.details.append("t-specialization commutes coefficientwise")
-    return report
+
+    def cases():
+        yield from coefficient_pairs(denominator.inv(), ref)
+        # specialization commutes: E of each symmetric-function coefficient
+        for n in range(order + 1):
+            lhs_n = specialize_E((-1) ** n * _h(n))
+            yield f"specialized lhs y^{n}", lhs_n, denominator.egf_coefficient(n)
+            type_sum_n = specialize_E(stirling_symfunc(n, 1))
+            yield f"E at y^{n}", type_sum_n, ref.egf_coefficient(n)
+
+    return first_mismatch("riordan", {"order": order}, cases(), [_COMMUTES])
 
 
 def check_thm17(order: int = 8) -> VerificationReport:
@@ -278,55 +263,33 @@ def check_thm17(order: int = 8) -> VerificationReport:
         order,
         [TPoly(), ONE] + [-T * (ONE - T) ** (n - 2) for n in range(2, order + 1)],
     )
-    inv = closed.comp_inverse()
     ref = TruncatedSeries.from_egf_coefficients(
         QT,
         order,
         [TPoly()] + [eulerian_polynomial(n - 1, 2) for n in range(1, order + 1)],
     )
-    report = series_report("thm17", {"order": order}, inv, ref)
-    if not report.passed:
-        return report
-    for n in range(order + 1):
-        coeff = (
-            SymFunc.zero("h") if n == 0 else (-1) ** (n - 1) * _h(n - 1)
-        )
-        if specialize_E(coeff) != closed.egf_coefficient(n):
-            return VerificationReport(
-                "thm17",
-                {"order": order},
-                False,
-                {
-                    "location": f"specialized lhs y^{n}",
-                    "lhs": str(specialize_E(coeff)),
-                    "rhs": str(closed.egf_coefficient(n)),
-                },
-            )
-        if n >= 1 and specialize_E(stirling_symfunc(n - 1, 2)) != ref.egf_coefficient(n):
-            return VerificationReport(
-                "thm17",
-                {"order": order},
-                False,
-                {"location": f"E at y^{n}", "lhs": "E(type sum)", "rhs": "descent tally"},
-            )
-    report.details.append("t-specialization commutes coefficientwise")
-    return report
+
+    def cases():
+        yield from coefficient_pairs(closed.comp_inverse(), ref)
+        for n in range(order + 1):
+            coeff = SymFunc.zero("h") if n == 0 else (-1) ** (n - 1) * _h(n - 1)
+            lhs_n = specialize_E(coeff)
+            yield f"specialized lhs y^{n}", lhs_n, closed.egf_coefficient(n)
+            if n >= 1:
+                type_sum_n = specialize_E(stirling_symfunc(n - 1, 2))
+                yield f"E at y^{n}", type_sum_n, ref.egf_coefficient(n)
+
+    return first_mismatch("thm17", {"order": order}, cases(), [_COMMUTES])
 
 
 def check_eulerian_oracle(n: int = 6) -> VerificationReport:
     """Descent polynomials agree with an independent backtracking tally."""
-    for r in (1, 2):
-        for k in range(n + 1):
-            a = eulerian_polynomial(k, r)
-            b = eulerian_brute_force(k, r)
-            if a != b:
-                return VerificationReport(
-                    "eulerian_oracle",
-                    {"n": n},
-                    False,
-                    {"location": f"(n={k}, r={r})", "lhs": str(a), "rhs": str(b)},
-                )
-    return VerificationReport("eulerian_oracle", {"n": n}, True)
+    cases = (
+        (f"(n={k}, r={r})", eulerian_polynomial(k, r), eulerian_brute_force(k, r))
+        for r in (1, 2)
+        for k in range(n + 1)
+    )
+    return first_mismatch("eulerian_oracle", {"n": n}, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -334,42 +297,36 @@ def check_eulerian_oracle(n: int = 6) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _signed_composition_sum(k: int) -> SymFunc:
+    """Sum of (-1)^(k - l(nu)) e_nu over the compositions nu of k."""
+    if k == 0:
+        return SymFunc.one("e")
+    terms: dict[Partition, Fraction] = {}
+    for nu in compositions_of(k):
+        lam = sort_to_partition(nu)
+        terms[lam] = terms.get(lam, Fraction(0)) + (-1) ** (k + len(lam))
+    return SymFunc("e", terms)
+
+
 def check_htoe(n: int = 8) -> VerificationReport:
     """h_k equals the signed sum of e over compositions, for k = 0..n."""
-    for k in range(n + 1):
-        if k == 0:
-            rhs = SymFunc.one("e")
-        else:
-            terms: dict[Partition, Fraction] = {}
-            for nu in compositions_of(k):
-                lam = sort_to_partition(nu)
-                sign = (-1) ** (k + len(lam))
-                terms[lam] = terms.get(lam, Fraction(0)) + sign
-            rhs = SymFunc("e", terms)
-        lhs = convert(_h(k), "e")
-        if lhs != rhs:
-            return VerificationReport(
-                "htoe",
-                {"n": n},
-                False,
-                {"location": f"h_{k}", "lhs": str(lhs), "rhs": str(rhs)},
-            )
-    return VerificationReport("htoe", {"n": n}, True)
+    # convert(h_n, "e") would refuse n only after building the matrices of
+    # every smaller degree
+    _check_cap(n, DEFAULT_DEGREE_CAP)
+    cases = (
+        (f"h_{k}", convert(_h(k), "e"), _signed_composition_sum(k))
+        for k in range(n + 1)
+    )
+    return first_mismatch("htoe", {"n": n}, cases)
 
 
 def check_lemma52(n: int = 8) -> VerificationReport:
     """E(h_k) = t (t-1)^(k-1) for k = 1..n."""
-    for k in range(1, n + 1):
-        lhs = specialize_E(_h(k))
-        rhs = T * (T - ONE) ** (k - 1)
-        if lhs != rhs:
-            return VerificationReport(
-                "lemma52",
-                {"n": n},
-                False,
-                {"location": f"h_{k}", "lhs": str(lhs), "rhs": str(rhs)},
-            )
-    return VerificationReport("lemma52", {"n": n}, True)
+    cases = (
+        (f"h_{k}", specialize_E(_h(k)), T * (T - ONE) ** (k - 1))
+        for k in range(1, n + 1)
+    )
+    return first_mismatch("lemma52", {"n": n}, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +334,21 @@ def check_lemma52(n: int = 8) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _type_multisets(n: int, r: int) -> dict[str, dict]:
+def _tally(fn, items) -> list[tuple[Partition, int]]:
+    """Sorted (value, multiplicity) pairs of fn over items."""
+    return sorted(Counter(map(fn, items)).items())
+
+
+def _type_multisets(n: int, r: int) -> dict[str, list]:
     perms = enumerate_stirling(n, r)
     kinds: list[tuple[str, str, int]] = [("AA", "AA", 1), ("DA", "DA", 1)]
     for j in range(1, r):
         kinds.append((f"TN_{j}", "TN", j))
         kinds.append((f"IN_{j}", "IN", j))
-    out: dict[str, dict] = {}
-    for label, kind, j in kinds:
-        tally: dict[Partition, int] = {}
-        for sp in perms:
-            lam = type_of(sp, kind, j)
-            tally[lam] = tally.get(lam, 0) + 1
-        out[label] = tally
-    return out
+    return {
+        label: _tally(lambda sp: type_of(sp, kind, j), perms)
+        for label, kind, j in kinds
+    }
 
 
 def check_equidistribution(n: int | None = None, r: int | None = None) -> VerificationReport:
@@ -402,29 +360,21 @@ def check_equidistribution(n: int | None = None, r: int | None = None) -> Verifi
     if (n is None) != (r is None):
         raise ValueError("give both n and r, or neither")
     if n is not None:
-        cases = [(n, r)]
+        sizes = [(n, r)]
         params = {"n": n, "r": r}
     else:
-        cases = [(k, 1) for k in range(7)]
-        cases += [(k, 2) for k in range(7)]
-        cases += [(k, 3) for k in range(6)]
+        sizes = [(k, 1) for k in range(7)]
+        sizes += [(k, 2) for k in range(7)]
+        sizes += [(k, 3) for k in range(6)]
         params = {"cases": "r=1:n<=6, r=2:n<=6, r=3:n<=5"}
-    for nn, rr in cases:
-        tallies = _type_multisets(nn, rr)
-        reference = tallies["AA"]
-        for label, tally in tallies.items():
-            if tally != reference:
-                return VerificationReport(
-                    "equidist",
-                    params,
-                    False,
-                    {
-                        "location": f"Q({nn},{rr}) {label}",
-                        "lhs": str(sorted(tally.items())),
-                        "rhs": str(sorted(reference.items())),
-                    },
-                )
-    return VerificationReport("equidist", params, True)
+
+    def cases():
+        for nn, rr in sizes:
+            tallies = _type_multisets(nn, rr)
+            for label, tally in tallies.items():
+                yield f"Q({nn},{rr}) {label}", tally, tallies["AA"]
+
+    return first_mismatch("equidist", params, cases())
 
 
 def check_tree_permutation(n: int = 7) -> VerificationReport:
@@ -434,44 +384,24 @@ def check_tree_permutation(n: int = 7) -> VerificationReport:
     adjacent type multiset over Q(k-1, 2); Comb matches the terminally nested
     types; and the tree count is (2k-3)!!.
     """
-    for k in range(1, n + 1):
-        trees = enumerate_normalized(k)
-        expected = 1
-        for odd in range(1, 2 * k - 2, 2):
-            expected *= odd
-        if len(trees) != expected:
-            return VerificationReport(
-                "treeperm",
-                {"n": n},
-                False,
-                {"location": f"|Nor_{k}|", "lhs": str(len(trees)), "rhs": str(expected)},
+
+    def cases():
+        for k in range(1, n + 1):
+            trees = enumerate_normalized(k)
+            yield f"|Nor_{k}|", len(trees), prod(range(1, 2 * k - 2, 2))
+            perms = enumerate_stirling(k - 1, 2)
+            yield (
+                f"k={k} lyn vs AA",
+                _tally(lyndon_type, trees),
+                _tally(lambda sp: type_of(sp, "AA"), perms),
             )
-        perms = enumerate_stirling(k - 1, 2)
-        pairs = [
-            ("lyn vs AA", lyndon_type, lambda sp: type_of(sp, "AA")),
-            ("comb vs TN", comb_type, lambda sp: type_of(sp, "TN", 1)),
-        ]
-        for label, tree_fn, perm_fn in pairs:
-            t_tally: dict[Partition, int] = {}
-            for t in trees:
-                lam = tree_fn(t)
-                t_tally[lam] = t_tally.get(lam, 0) + 1
-            p_tally: dict[Partition, int] = {}
-            for sp in perms:
-                lam = perm_fn(sp)
-                p_tally[lam] = p_tally.get(lam, 0) + 1
-            if t_tally != p_tally:
-                return VerificationReport(
-                    "treeperm",
-                    {"n": n},
-                    False,
-                    {
-                        "location": f"k={k} {label}",
-                        "lhs": str(sorted(t_tally.items())),
-                        "rhs": str(sorted(p_tally.items())),
-                    },
-                )
-    return VerificationReport("treeperm", {"n": n}, True)
+            yield (
+                f"k={k} comb vs TN",
+                _tally(comb_type, trees),
+                _tally(lambda sp: type_of(sp, "TN", 1), perms),
+            )
+
+    return first_mismatch("treeperm", {"n": n}, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +420,15 @@ def _bounded_weak_compositions(total_max: int, width: int):
 
 def check_equicardinality(weight: int = 4) -> VerificationReport:
     """|Lyn_mu| = |Comb_mu| for every content mu with |mu|, support <= weight."""
-    for mu in _bounded_weak_compositions(weight, weight):
-        a = len(enumerate_colored("lyn", mu))
-        b = len(enumerate_colored("comb", mu))
-        if a != b:
-            return VerificationReport(
-                "equicard",
-                {"weight": weight},
-                False,
-                {"location": f"mu={mu}", "lhs": str(a), "rhs": str(b)},
-            )
-    return VerificationReport("equicard", {"weight": weight}, True)
+    cases = (
+        (
+            f"mu={mu}",
+            len(enumerate_colored("lyn", mu)),
+            len(enumerate_colored("comb", mu)),
+        )
+        for mu in _bounded_weak_compositions(weight, weight)
+    )
+    return first_mismatch("equicard", {"weight": weight}, cases)
 
 
 def check_forbidden(order: int = 5) -> VerificationReport:
@@ -525,23 +453,18 @@ def check_drake(order: int = 6) -> VerificationReport:
     colored trees, coefficient by coefficient, for both coloring conditions."""
     if order > COLORED_MAX_N:
         raise ValueError(f"order={order} exceeds the colored-tree limit {COLORED_MAX_N}")
-    for kind in ("lyn", "comb"):
-        inv = forbidden_tree_egf(kind, order).comp_inverse()
-        for n in range(1, order + 1):
-            lhs = inv.egf_coefficient(n)
-            rhs = colored_generating_function(kind, n)
-            if lhs != rhs:
-                return VerificationReport(
-                    "drake",
-                    {"order": order},
-                    False,
-                    {
-                        "location": f"{kind} y^{n}",
-                        "lhs": str(convert(lhs, "m")),
-                        "rhs": str(convert(rhs, "m")),
-                    },
+
+    def cases():
+        for kind in ("lyn", "comb"):
+            inv = forbidden_tree_egf(kind, order).comp_inverse()
+            for n in range(1, order + 1):
+                yield (
+                    f"{kind} y^{n}",
+                    inv.egf_coefficient(n),
+                    colored_generating_function(kind, n),
                 )
-    return VerificationReport("drake", {"order": order}, True)
+
+    return first_mismatch("drake", {"order": order}, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -593,73 +516,41 @@ def check_inversion(order: int = 6, samples: int = 50) -> VerificationReport:
     Exercised on the two classical analytic pairs (exp and its reciprocal,
     exp-1 and log(1+y)) and on `samples` random rational EGFs per kind.
     """
-    params = {"order": order, "samples": samples}
-
-    def run_case(kind: str, sem: list[Fraction], label: str):
-        series = TruncatedSeries.from_egf_coefficients(QQ, order, sem)
-        direct = series.inv() if kind == "mult" else series.comp_inverse()
-        got = invert_egf_numeric(kind, sem, order)
-        for n in range(order + 1):
-            if got[n] != direct.egf_coefficient(n):
-                return VerificationReport(
-                    "inversion",
-                    params,
-                    False,
-                    {
-                        "location": f"{label} y^{n}",
-                        "lhs": rational_str(got[n]),
-                        "rhs": rational_str(direct.egf_coefficient(n)),
-                    },
-                )
-        return None
-
-    # exp(y): inverse is exp(-y)
-    expo = [Fraction(1)] * (order + 1)
-    bad = run_case("mult", expo, "exp")
-    if bad:
-        return bad
-    got = invert_egf_numeric("mult", expo, order)
-    if got != [Fraction((-1) ** n) for n in range(order + 1)]:
-        return VerificationReport(
-            "inversion",
-            params,
-            False,
-            {"location": "exp(-y)", "lhs": str(got), "rhs": "(-1)^n"},
-        )
-    # exp(y) - 1: compositional inverse is log(1+y)
-    expm1 = [Fraction(0)] + [Fraction(1)] * order
-    bad = run_case("comp", expm1, "expm1")
-    if bad:
-        return bad
-    got = invert_egf_numeric("comp", expm1, order)
-    want = [Fraction(0)] + [
-        Fraction((-1) ** (n - 1) * factorial(n - 1)) for n in range(1, order + 1)
-    ]
-    if got != want:
-        return VerificationReport(
-            "inversion",
-            params,
-            False,
-            {"location": "log(1+y)", "lhs": str(got), "rhs": str(want)},
-        )
     rng = random.Random(271828)
 
     def rand_frac():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
-    for i in range(samples):
-        sem = [rand_frac() for _ in range(order + 1)]
-        sem[0] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-        bad = run_case("mult", sem, f"mult#{i}")
-        if bad:
-            return bad
-        sem = [rand_frac() for _ in range(order + 1)]
-        sem[0] = Fraction(0)
-        sem[1] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-        bad = run_case("comp", sem, f"comp#{i}")
-        if bad:
-            return bad
-    return VerificationReport("inversion", params, True)
+    def both_routes(kind: str, sem: list[Fraction], label: str):
+        series = TruncatedSeries.from_egf_coefficients(QQ, order, sem)
+        direct = series.inv() if kind == "mult" else series.comp_inverse()
+        got = invert_egf_numeric(kind, sem, order)
+        for n in range(order + 1):
+            yield f"{label} y^{n}", got[n], direct.egf_coefficient(n)
+
+    def cases():
+        # exp(y): inverse is exp(-y)
+        expo = [Fraction(1)] * (order + 1)
+        yield from both_routes("mult", expo, "exp")
+        exp_neg = [Fraction((-1) ** n) for n in range(order + 1)]
+        yield "exp(-y)", invert_egf_numeric("mult", expo, order), exp_neg
+        # exp(y) - 1: compositional inverse is log(1+y)
+        expm1 = [Fraction(0)] + [Fraction(1)] * order
+        yield from both_routes("comp", expm1, "expm1")
+        log1p = [Fraction(0)] + [
+            Fraction((-1) ** (n - 1) * factorial(n - 1)) for n in range(1, order + 1)
+        ]
+        yield "log(1+y)", invert_egf_numeric("comp", expm1, order), log1p
+        for i in range(samples):
+            sem = [rand_frac() for _ in range(order + 1)]
+            sem[0] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            yield from both_routes("mult", sem, f"mult#{i}")
+            sem = [rand_frac() for _ in range(order + 1)]
+            sem[0] = Fraction(0)
+            sem[1] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            yield from both_routes("comp", sem, f"comp#{i}")
+
+    return first_mismatch("inversion", {"order": order, "samples": samples}, cases())
 
 
 # ---------------------------------------------------------------------------

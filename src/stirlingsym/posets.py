@@ -31,7 +31,7 @@ from .partitions import (
     wcomp_add,
     wcomp_leq,
 )
-from .report import VerificationReport
+from .report import VerificationReport, first_mismatch
 from .stirling import stirling_symfunc
 from .symfunc import convert
 
@@ -197,42 +197,28 @@ def _signed_type_coefficient(kind: str, n: int, shape) -> Fraction:
 
 
 def _check_poset(identity: str, kind: str, nmax: int) -> VerificationReport:
-    for n in range(1, nmax + 1):
-        weight = n if kind == "b" else n - 1
-        for lam in partitions_of(weight):
-            predicted = _signed_type_coefficient(kind, n, lam)
-            got = mobius_invariant(kind, n, lam)
-            if got != predicted:
-                return VerificationReport(
-                    identity,
-                    {"n": nmax},
-                    False,
-                    {
-                        "location": f"n={n} mu={lam}",
-                        "lhs": str(got),
-                        "rhs": str(predicted),
-                    },
+    def cases():
+        for n in range(1, nmax + 1):
+            shapes = partitions_of(n if kind == "b" else n - 1)
+            for lam in shapes:
+                yield (
+                    f"n={n} mu={lam}",
+                    mobius_invariant(kind, n, lam),
+                    _signed_type_coefficient(kind, n, lam),
                 )
-        # rearrangement invariance: permuting or zero-padding the top weight
-        # must not change the Mobius invariant
-        probes = [lam for lam in partitions_of(weight) if len(lam) >= 2]
-        if probes:
-            lam = probes[0]
-            rearranged = (lam[-1],) + lam[1:-1] + (lam[0],)
-            padded = (0,) + lam
-            for mu in (rearranged, padded):
-                if mobius_invariant(kind, n, mu) != mobius_invariant(kind, n, lam):
-                    return VerificationReport(
-                        identity,
-                        {"n": nmax},
-                        False,
-                        {
-                            "location": f"n={n} rearrangement {mu} of {lam}",
-                            "lhs": str(mobius_invariant(kind, n, mu)),
-                            "rhs": str(mobius_invariant(kind, n, lam)),
-                        },
+            # rearrangement invariance: permuting or zero-padding the top
+            # weight must not change the Mobius invariant
+            probes = [lam for lam in shapes if len(lam) >= 2]
+            if probes:
+                lam = probes[0]
+                for mu in ((lam[-1],) + lam[1:-1] + (lam[0],), (0,) + lam):
+                    yield (
+                        f"n={n} rearrangement {mu} of {lam}",
+                        mobius_invariant(kind, n, mu),
+                        mobius_invariant(kind, n, lam),
                     )
-    return VerificationReport(identity, {"n": nmax}, True)
+
+    return first_mismatch(identity, {"n": nmax}, cases())
 
 
 def check_thm62(n: int = 4) -> VerificationReport:

@@ -1,4 +1,10 @@
-"""Verification reports: identity checks are data, not log output."""
+"""Verification reports: identity checks are data, not log output.
+
+A check states its identity as a lazy stream of ``(location, lhs, rhs)``
+cases and hands it to :func:`first_mismatch`, which stops at the first pair
+whose sides differ and pinpoints the differing term; :func:`series_report`
+is the same for the coefficients of two truncated series.
+"""
 
 from __future__ import annotations
 
@@ -48,27 +54,34 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def series_report(identity: str, params: dict, lhs, rhs,
-                  location=lambda n: f"y^{n}") -> VerificationReport:
-    """Compare two truncated series coefficientwise into a report.
+def first_mismatch(identity: str, params: dict, cases,
+                   details=()) -> VerificationReport:
+    """Report the first of the ``(location, lhs, rhs)`` cases with lhs != rhs.
 
-    On a mismatch the discrepancy drills into the coefficient: for
-    symmetric-function coefficients it names the first differing monomial
-    term and the two rational values, for t-polynomials the first differing
-    power of t.
+    ``cases`` is consumed lazily, so no work is done past the first mismatch.
+    The discrepancy drills into the pair: for symmetric functions it names
+    the first differing monomial term and the two rational values, for
+    t-polynomials the first differing power of t.  ``details`` are the notes
+    of the passing report.
     """
-    for n in range(lhs.order + 1):
-        a, b = lhs.coeffs[n], rhs.coeffs[n]
-        if not lhs.ring.eq(a, b):
-            where, va, vb = _first_difference(a, b)
-            spot = location(n) if where is None else f"{location(n)}, {where}"
+    for location, lhs, rhs in cases:
+        if lhs != rhs:
+            where, va, vb = _first_difference(lhs, rhs)
+            spot = location if where is None else f"{location}, {where}"
             return VerificationReport(
-                identity,
-                params,
-                False,
-                {"location": spot, "lhs": va, "rhs": vb},
+                identity, params, False, {"location": spot, "lhs": va, "rhs": vb}
             )
-    return VerificationReport(identity, params, True)
+    return VerificationReport(identity, params, True, details=list(details))
+
+
+def coefficient_pairs(lhs, rhs):
+    """The cases ``("y^n", lhs_n, rhs_n)`` of two truncated series."""
+    return ((f"y^{n}", lhs.coeffs[n], rhs.coeffs[n]) for n in range(lhs.order + 1))
+
+
+def series_report(identity: str, params: dict, lhs, rhs) -> VerificationReport:
+    """Compare two truncated series coefficientwise into a report."""
+    return first_mismatch(identity, params, coefficient_pairs(lhs, rhs))
 
 
 def _first_difference(a, b):

@@ -10,8 +10,8 @@ and composition are the same Cauchy/substitution formulas for both flavors.
 
 The coefficient ring is described by a small adapter object providing exact
 zero, one, rational embedding, products and unit inversion; ring elements
-themselves are expected to support ``+`` and ``-``.  Every product of two
-ring elements goes through the adapter's ``mul``, so an adapter can bound
+themselves are expected to support ``+``, ``-`` and ``==``.  Every product of
+two ring elements goes through the adapter's ``mul``, so an adapter can bound
 it.  Adapters for Q, Q[t] and the ring of symmetric functions are provided.
 """
 
@@ -54,9 +54,6 @@ class RationalRing:
             raise ZeroDivisionError("0 is not a unit")
         return Fraction(1) / a
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def to_json(self, a):
         return rational_str(a)
 
@@ -91,9 +88,6 @@ class TPolyRing:
         if not self.is_unit(a):
             raise ValueError(f"{a} is not a unit in Q[t]")
         return TPoly.const(Fraction(1) / a.coeffs[0])
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def to_json(self, a):
         return a.to_json()
@@ -137,9 +131,6 @@ class SymFuncRing:
         if not self.is_unit(a):
             raise ValueError("only nonzero constants are units in Lambda")
         return self.from_rational(Fraction(1) / a.constant_term())
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def to_json(self, a):
         return a.to_json()
@@ -229,7 +220,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._compatible(other)
-        return all(self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 

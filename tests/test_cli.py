@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from stirlingsym import cli, stirling, trees
+from stirlingsym import cli, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
 from stirlingsym.report import VerificationReport
 from stirlingsym.symfunc import SymFunc
@@ -135,11 +135,32 @@ def test_htoe_still_meets_the_degree_cap(capsys):
     assert "exceeds the cap 8" in err
 
 
+def test_htoe_refuses_large_n_before_any_conversion(capsys, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("no transition matrix may be built")
+
+    monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
+    code, out, err = run(capsys, "verify", "--identity", "htoe", "--n", "9")
+    assert (code, out) == (2, "")
+    assert "degree 9 exceeds the cap 8" in err
+
+
+def test_enumerate_trees_refuses_large_n_before_any_work(capsys, monkeypatch):
+    def no_attach(*args):
+        raise AssertionError("no tree may be built")
+
+    monkeypatch.setattr(trees, "_attach", no_attach)
+    code, out, err = run(capsys, "enumerate", "--what", "trees", "--n", "10")
+    assert (code, out) == (2, "")
+    assert f"exceeds the normalized-tree limit {trees.NORMALIZED_MAX_N}" in err
+    assert trees.NORMALIZED_MAX_N == 9
+
+
 def test_drake_refuses_large_order_before_any_work(capsys, monkeypatch):
     def no_colorings(*args):
         raise AssertionError("the coloring walk must not start")
 
-    monkeypatch.setattr(trees, "_tally_colorings", no_colorings)
+    monkeypatch.setattr(trees, "_colorings", no_colorings)
     code, out, err = run(capsys, "verify", "--identity", "drake", "--order", "7")
     assert (code, out) == (2, "")
     assert f"exceeds the colored-tree limit {trees.COLORED_MAX_N}" in err

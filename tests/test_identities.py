@@ -214,6 +214,22 @@ def test_series_report_pinpoints_first_coefficient():
     }
 
 
+def test_first_mismatch_stops_at_the_first_differing_pair():
+    from stirlingsym.report import first_mismatch
+
+    def cases():
+        yield "a", 1, 1
+        yield "b", Fraction(1, 2), Fraction(1, 3)
+        raise AssertionError("consumed past the first mismatch")
+
+    report = first_mismatch("demo", {"n": 2}, cases(), ["note"])
+    assert not report.passed
+    assert report.discrepancy == {"location": "b", "lhs": "1/2", "rhs": "1/3"}
+    assert report.details == []  # notes describe a passing check only
+    ok = first_mismatch("demo", {"n": 2}, iter([("a", 1, 1)]), ["note"])
+    assert ok.passed and ok.details == ["note"]
+
+
 def test_registry_names():
     names = set(registry())
     assert {

@@ -2,7 +2,7 @@ import itertools
 import json
 from math import comb, factorial
 
-from stirlingsym.partitions import trim
+from stirlingsym.partitions import sort_to_partition, trim, weak_compositions
 from stirlingsym.stirling import enumerate_stirling, type_of
 from stirlingsym.symfunc import SymFunc, basis_element, convert
 from stirlingsym.trees import (
@@ -129,6 +129,19 @@ def test_colored_counts_agree_between_kinds():
     mus = [(2,), (1, 1), (0, 2), (2, 1), (1, 1, 1), (2, 2), (1, 2, 1)]
     for mu in mus:
         assert len(enumerate_colored("lyn", mu)) == len(enumerate_colored("comb", mu))
+
+
+def test_colored_tree_counts_are_generating_function_coefficients():
+    # the two entry points of the coloring walk: the trees of content exactly
+    # mu, and the content tally over the palette 1..n-1 (symmetric, so mu
+    # wider than the palette is read off at its sorted shape)
+    for kind in ("lyn", "comb"):
+        for weight in range(5):
+            gf = colored_generating_function(kind, weight + 1)
+            mus = {trim(mu) for mu in weak_compositions(weight, weight + 1)}
+            for mu in sorted(mus):
+                count = len(enumerate_colored(kind, mu))
+                assert count == gf.coefficient(sort_to_partition(mu)), (kind, mu)
 
 
 def test_colorings_satisfy_their_constraints():
