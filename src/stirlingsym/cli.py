@@ -3,8 +3,10 @@
 Verbs: expand, enumerate, eulerian, verify, invert, wp, mobius, tables.
 Exit status: 0 on success (and on passing verifications), 1 when a
 verification fails, 2 on usage errors and refused sizes, 3 when the work ran
-out of memory or recursion depth, 130 on Ctrl-C.  Errors are one line on
-stderr, never a traceback.  All output is deterministic.
+out of memory or recursion depth, 130 on Ctrl-C, and 141 (128 + SIGPIPE)
+when the reader closes stdout early, as ``enumerate ... | head`` does.
+Errors are one line on stderr, never a traceback.  All output is
+deterministic.
 
 Comma-list values may start with a minus sign in either form:
 ``--coeffs -1,2,3`` reads like ``--coeffs=-1,2,3``.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -27,6 +30,10 @@ from .stirling import enumerate_stirling, eulerian_polynomial, stirling_symfunc
 from .symfunc import convert, render_symfunc
 from .trees import enumerate_normalized, render_tree, tree_to_json
 
+
+#: Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
+#: reports a process that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 #: Options whose value is a comma list that may start with a negative number.
 _LIST_OPTIONS = ("--coeffs", "--mu", "--lambda")
@@ -284,7 +291,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the output is unwanted from here on; send what is still buffered
+        # to devnull, so that the flush at shutdown raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

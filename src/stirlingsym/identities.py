@@ -24,6 +24,7 @@ from .partitions import (
 from .report import VerificationReport, coefficient_pairs, first_mismatch, series_report
 from .series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
 from .stirling import (
+    check_word_budget,
     enumerate_stirling,
     eulerian_brute_force,
     eulerian_polynomial,
@@ -283,7 +284,8 @@ def check_thm17(order: int = 8) -> VerificationReport:
 
 
 def check_eulerian_oracle(n: int = 6) -> VerificationReport:
-    """Descent polynomials agree with an independent backtracking tally."""
+    """Descent polynomials agree with a descent tally over every word."""
+    check_word_budget(n, 2)
     cases = (
         (f"(n={k}, r={r})", eulerian_polynomial(k, r), eulerian_brute_force(k, r))
         for r in (1, 2)
@@ -334,21 +336,25 @@ def check_lemma52(n: int = 8) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _tally(fn, items) -> list[tuple[Partition, int]]:
-    """Sorted (value, multiplicity) pairs of fn over items."""
-    return sorted(Counter(map(fn, items)).items())
+def _tallies(items, fns: dict) -> dict[str, list[tuple[Partition, int]]]:
+    """Sorted (value, multiplicity) pairs of each fn over items, in one pass."""
+    counts = {label: Counter() for label in fns}
+    for item in items:
+        for label, fn in fns.items():
+            counts[label][fn(item)] += 1
+    return {label: sorted(c.items()) for label, c in counts.items()}
+
+
+def _type_fn(kind: str, j: int = 1):
+    return lambda sp: type_of(sp, kind, j)
 
 
 def _type_multisets(n: int, r: int) -> dict[str, list]:
-    perms = enumerate_stirling(n, r)
-    kinds: list[tuple[str, str, int]] = [("AA", "AA", 1), ("DA", "DA", 1)]
+    fns = {"AA": _type_fn("AA"), "DA": _type_fn("DA")}
     for j in range(1, r):
-        kinds.append((f"TN_{j}", "TN", j))
-        kinds.append((f"IN_{j}", "IN", j))
-    return {
-        label: _tally(lambda sp: type_of(sp, kind, j), perms)
-        for label, kind, j in kinds
-    }
+        fns[f"TN_{j}"] = _type_fn("TN", j)
+        fns[f"IN_{j}"] = _type_fn("IN", j)
+    return _tallies(enumerate_stirling(n, r), fns)
 
 
 def check_equidistribution(n: int | None = None, r: int | None = None) -> VerificationReport:
@@ -360,6 +366,7 @@ def check_equidistribution(n: int | None = None, r: int | None = None) -> Verifi
     if (n is None) != (r is None):
         raise ValueError("give both n and r, or neither")
     if n is not None:
+        check_word_budget(n, r)
         sizes = [(n, r)]
         params = {"n": n, "r": r}
     else:
@@ -384,22 +391,17 @@ def check_tree_permutation(n: int = 7) -> VerificationReport:
     adjacent type multiset over Q(k-1, 2); Comb matches the terminally nested
     types; and the tree count is (2k-3)!!.
     """
+    check_word_budget(max(n - 1, 0), 2)
 
     def cases():
         for k in range(1, n + 1):
             trees = enumerate_normalized(k)
             yield f"|Nor_{k}|", len(trees), prod(range(1, 2 * k - 2, 2))
-            perms = enumerate_stirling(k - 1, 2)
-            yield (
-                f"k={k} lyn vs AA",
-                _tally(lyndon_type, trees),
-                _tally(lambda sp: type_of(sp, "AA"), perms),
-            )
-            yield (
-                f"k={k} comb vs TN",
-                _tally(comb_type, trees),
-                _tally(lambda sp: type_of(sp, "TN", 1), perms),
-            )
+            tree_types = _tallies(trees, {"lyn": lyndon_type, "comb": comb_type})
+            perm_types = _tallies(enumerate_stirling(k - 1, 2),
+                                  {"AA": _type_fn("AA"), "TN": _type_fn("TN", 1)})
+            yield f"k={k} lyn vs AA", tree_types["lyn"], perm_types["AA"]
+            yield f"k={k} comb vs TN", tree_types["comb"], perm_types["TN"]
 
     return first_mismatch("treeperm", {"n": n}, cases())
 

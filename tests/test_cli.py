@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ from stirlingsym.report import VerificationReport
 from stirlingsym.symfunc import SymFunc
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -181,6 +186,51 @@ def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(stirling, "_type_tally", lambda n, r: (((n,), 1),))
     code, out, _ = run(capsys, "expand", "--n", str(stirling.TYPE_SUM_MAX_N), "--r", "2")
     assert (code, out) == (0, f"e({stirling.TYPE_SUM_MAX_N})\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--identity", "equidist", "--n", "9", "--r", "2"],
+        ["--identity", "eulerian_oracle", "--n", "9"],
+        ["--identity", "treeperm", "--n", "10"],
+    ],
+)
+def test_enumerating_checks_refuse_large_n_before_any_word(capsys, monkeypatch, argv):
+    def no_walk(n, r):
+        raise AssertionError("the word walk must not start")
+
+    monkeypatch.setattr(stirling, "_walk", no_walk)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"over the enumeration limit {stirling.ENUMERATION_MAX_WORDS}" in err
+    # eulerian_oracle --n 8 walks Q(8, 2), 2,027,025 words, and stays accepted
+    stirling.check_word_budget(8, 2)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+def test_enumerate_streams_under_a_memory_limit_and_stops_at_a_closed_pipe():
+    # Q(9, 2) holds 34,459,425 words, far beyond 512 MB as a list
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirlingsym.cli", "enumerate", "--n", "9", "--r", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=_limit_address_space,
+    )
+    lines = [proc.stdout.readline() for _ in range(1000)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    words = [line.rstrip("\n") for line in lines]
+    assert words[0] == "112233445566778899"
+    assert all(w < v for w, v in zip(words, words[1:]))
+    for w in words:
+        stirling.StirlingPerm(tuple(int(ch) for ch in w), 9, 2)
+    assert "Traceback" not in err
+    assert code == cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_invert(capsys):

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -42,11 +41,20 @@ def multiset_filter_oracle(n, r):
     return sorted(set(p for p in itertools.permutations(letters) if is_nested(p)))
 
 
+def insertion_oracle(n, r):
+    """Oracle: insert the block k^r of each new letter k into every gap of
+    every word of Q(k-1, r), then sort."""
+    words = [()]
+    for k in range(1, n + 1):
+        block = (k,) * r
+        words = [w[:i] + block + w[i:] for w in words for i in range(len(w) + 1)]
+    return sorted(words)
+
+
 @pytest.mark.parametrize("n,r", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (4, 1)])
 def test_enumeration_against_multiset_filter(n, r):
     got = [sp.word for sp in enumerate_stirling(n, r)]
     assert got == multiset_filter_oracle(n, r)
-    assert got == enumerate_stirling_backtrack(n, r)
 
 
 def test_enumeration_counts():
@@ -56,10 +64,18 @@ def test_enumeration_counts():
             expected = 1
             for k in range(1, n + 1):
                 expected *= (k - 1) * r + 1
-            assert len(enumerate_stirling(n, r)) == expected
-    assert len(enumerate_stirling(3, 2)) == 15
-    assert len(enumerate_stirling(3, 3)) == 28
-    assert len(enumerate_stirling(3, 1)) == 6
+            assert sum(1 for _ in enumerate_stirling(n, r)) == expected
+    assert len(list(enumerate_stirling(3, 2))) == 15
+    assert len(list(enumerate_stirling(3, 3))) == 28
+    assert len(list(enumerate_stirling(3, 1))) == 6
+
+
+def test_bad_sizes_are_rejected_at_call_time():
+    # before the first next(), so a caller fails where it asks
+    with pytest.raises(ValueError):
+        enumerate_stirling(-1, 2)
+    with pytest.raises(ValueError):
+        enumerate_stirling_backtrack(2, 0)
 
 
 def test_validation_rejects_bad_words():
@@ -190,9 +206,20 @@ KIND_CASES = [
 ]
 
 
+SIZE_CASES = sorted({(n, r) for n, r, _kind, _j in KIND_CASES})
+
+
+@pytest.mark.parametrize("n,r", SIZE_CASES)
+def test_walk_matches_insertion_oracle(n, r):
+    # same words in the same order; StirlingPerm validates every one
+    streamed = [sp.word for sp in enumerate_stirling(n, r)]
+    assert streamed == insertion_oracle(n, r)
+
+
 @lru_cache(maxsize=1)
 def _oracle_words(n, r):
-    return enumerate_stirling(n, r)
+    # a tuple, not the generator: the cache hands it to several tests
+    return tuple(enumerate_stirling(n, r))
 
 
 def _tally(values):
@@ -225,7 +252,7 @@ def test_production_route_builds_no_word(monkeypatch, capsys):
     def refuse(n, r):
         raise AssertionError(f"enumerated Q({n}, {r})")
 
-    monkeypatch.setattr(stirling, "_all_stirling", refuse)
+    monkeypatch.setattr(stirling, "_walk", refuse)
     stirling._type_tally.cache_clear()
     stirling._descent_tally.cache_clear()
     f = stirling_symfunc(9, 2)
@@ -237,22 +264,12 @@ def test_production_route_builds_no_word(monkeypatch, capsys):
     assert "degree 9 exceeds the cap 8" in capsys.readouterr().err
 
 
-def brute_force_descents(n, r):
-    tally = {}
-    for word in multiset_filter_oracle(n, r):
-        padded = (0,) + word + (0,)
-        d = sum(1 for i in range(len(padded) - 1) if padded[i] > padded[i + 1])
-        tally[d] = tally.get(d, 0) + 1
-    return TPoly({d: Fraction(c) for d, c in tally.items()})
-
-
 def test_eulerian_polynomials():
     assert str(eulerian_polynomial(3, 2)) == "t + 8*t^2 + 6*t^3"
     assert eulerian_polynomial(1, 5) == TPoly({1: 1})
     assert eulerian_polynomial(0, 2) == TPoly.const(1)
     assert str(eulerian_polynomial(4, 1)) == "t + 11*t^2 + 11*t^3 + t^4"
     for n, r in [(3, 2), (4, 2), (4, 1), (3, 3)]:
-        assert eulerian_polynomial(n, r) == brute_force_descents(n, r)
         assert eulerian_polynomial(n, r) == eulerian_brute_force(n, r)
 
 
