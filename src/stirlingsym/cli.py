@@ -166,16 +166,29 @@ def _cmd_eulerian(args) -> int:
     return 0
 
 
-def _call_check(fn, args):
+def _call_check(name, fn, args, strict: bool):
+    """Run one check with the size options it takes.
+
+    ``--order`` stands in for ``n`` when the check takes ``n`` and no
+    ``--n`` is given.  With ``strict``, any other option the check does not
+    take is refused; otherwise it is dropped.
+    """
     accepted = inspect.signature(fn).parameters
     kwargs = {}
-    for name in ("order", "n", "r"):
-        value = getattr(args, name, None)
-        if value is not None and name in accepted:
-            kwargs[name] = value
-    if getattr(args, "order", None) is not None and "order" not in accepted:
-        if "n" in accepted and "n" not in kwargs:
-            kwargs["n"] = args.order
+    for option in ("order", "n", "r"):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option in accepted:
+            kwargs[option] = value
+        elif option == "order" and "n" in accepted and args.n is None:
+            kwargs["n"] = value
+        elif strict:
+            taken = [f"--{p}" for p in ("order", "n", "r") if p in accepted]
+            if "n" in accepted and "order" not in accepted:
+                taken[taken.index("--n")] = "--n (or --order in its place)"
+            raise ValueError(f"identity {name!r} takes no --{option}; its size "
+                             f"options: {', '.join(taken) or 'none'}")
     return fn(**kwargs)
 
 
@@ -190,7 +203,8 @@ def _cmd_verify(args) -> int:
         known = ", ".join(checks)
         print(f"unknown identity {args.identity!r}; known: {known}, all", file=sys.stderr)
         return 2
-    reports = [_call_check(checks[name], args) for name in names]
+    strict = args.identity != "all"
+    reports = [_call_check(name, checks[name], args, strict) for name in names]
     if as_json:
         payload = [r.to_json() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=None))

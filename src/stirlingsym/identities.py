@@ -24,6 +24,7 @@ from .partitions import (
 from .report import VerificationReport, coefficient_pairs, first_mismatch, series_report
 from .series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
 from .stirling import (
+    check_typing_budget,
     check_word_budget,
     enumerate_stirling,
     eulerian_brute_force,
@@ -361,12 +362,13 @@ def check_equidistribution(n: int | None = None, r: int | None = None) -> Verifi
     """The type statistics all have the same distribution over Q(n, r).
 
     With no arguments runs the default battery: r=1 up to n=6, r=2 up to
-    n=6, r=3 up to n=5.
+    n=6, r=3 up to n=5.  A given size above the word or typing limit of
+    :func:`~stirlingsym.stirling.check_typing_budget` is refused up front.
     """
     if (n is None) != (r is None):
         raise ValueError("give both n and r, or neither")
     if n is not None:
-        check_word_budget(n, r)
+        check_typing_budget(n, r)
         sizes = [(n, r)]
         params = {"n": n, "r": r}
     else:

@@ -90,6 +90,26 @@ def sort_to_partition(seq) -> Partition:
     return tuple(sorted((x for x in seq if x != 0), reverse=True))
 
 
+def chain_type(succ: dict, elements) -> Partition:
+    """Partition from the chain decomposition of a successor map.
+
+    ``succ`` sends an element to the next one in its chain; it must be
+    injective and acyclic on ``elements``, so the chains partition them.
+    """
+    has_pred = set(succ.values())
+    parts = []
+    for start in elements:
+        if start in has_pred:
+            continue
+        length = 1
+        x = start
+        while x in succ:
+            x = succ[x]
+            length += 1
+        parts.append(length)
+    return sort_to_partition(parts)
+
+
 def conjugate(lam: Partition) -> Partition:
     """Conjugate (transposed diagram) partition."""
     if not lam:
@@ -154,11 +174,3 @@ def rational_str(q: Fraction | int) -> str:
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" (also accepts a denominator of 1, e.g. "4/1")."""
     return Fraction(s.strip())
-
-
-def partition_to_json(lam: Partition) -> list[int]:
-    return list(lam)
-
-
-def partition_from_json(data) -> Partition:
-    return check_partition(data)

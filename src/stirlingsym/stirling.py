@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .partitions import Partition, sort_to_partition
+from .partitions import Partition, chain_type, sort_to_partition
 from .symfunc import SymFunc, TPoly
 
 TYPE_KINDS = ("AA", "DA", "TN", "IN")
@@ -51,6 +51,13 @@ TYPE_SUM_MAX_N = 30
 #: walks it and every smaller Q(k, 1) and Q(k, 2) in 16.3 s on a 2-vCPU VM.
 #: Q(9, 2) has 34,459,425 words and is refused before any word is built.
 ENUMERATION_MAX_WORDS = 2_500_000
+
+#: Largest |Q(n, r)| * 2r * nr that ``verify --identity equidist`` types for a
+#: user-given size: each word is typed for 2r kinds at O(nr) each.  Among the
+#: accepted sizes Q(9, 1) (6,531,840) took 15.8 s and Q(7, 2) (7,567,560)
+#: 12.4 s on a 2-vCPU VM; Q(2, 200) (32,160,000) took 11.1 s, and Q(2, 1000)
+#: would run for about 17 minutes.
+TYPING_MAX_WORK = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -103,13 +110,27 @@ def _check_size(n: int, r: int) -> None:
         raise ValueError("need n >= 0 and r >= 1")
 
 
+def _word_count(n: int, r: int) -> int:
+    return prod((k - 1) * r + 1 for k in range(1, n + 1))
+
+
 def check_word_budget(n: int, r: int) -> None:
     """Refuse, before any word is built, a Q(n, r) above the enumeration limit."""
     _check_size(n, r)
-    count = prod((k - 1) * r + 1 for k in range(1, n + 1))
+    count = _word_count(n, r)
     if count > ENUMERATION_MAX_WORDS:
         raise ValueError(f"Q({n},{r}) has {count} words, over the enumeration "
                          f"limit {ENUMERATION_MAX_WORDS}")
+
+
+def check_typing_budget(n: int, r: int) -> None:
+    """Refuse, before any word is built, typing Q(n, r) for all 2r kinds when
+    that costs more than ``TYPING_MAX_WORK`` or the word budget."""
+    check_word_budget(n, r)
+    work = _word_count(n, r) * 2 * r * n * r
+    if work > TYPING_MAX_WORK:
+        raise ValueError(f"typing Q({n},{r}) for {2 * r} kinds costs {work} steps, "
+                         f"over the typing limit {TYPING_MAX_WORK}")
 
 
 def enumerate_stirling(n: int, r: int) -> Iterator[StirlingPerm]:
@@ -231,26 +252,8 @@ def ring_segments(sp: StirlingPerm, a: int) -> list[tuple[int, ...]]:
     return [tuple(sp.word[occ[j] + 1 : occ[j + 1]]) for j in range(sp.r - 1)]
 
 
-def _chain_type(succ: dict[int, int], n: int) -> Partition:
-    """Partition of n from the chain decomposition of a successor map."""
-    has_pred = set(succ.values())
-    parts = []
-    for start in range(1, n + 1):
-        if start in has_pred:
-            continue
-        length = 1
-        x = start
-        while x in succ:
-            x = succ[x]
-            length += 1
-        parts.append(length)
-    return sort_to_partition(parts)
-
-
 def ascending_adjacent_type(sp: StirlingPerm) -> Partition:
     """Chain a -> b whenever a < b and B(b) starts right after B(a) ends."""
-    if sp.n == 0:
-        return ()
     occ = _occurrences(sp)
     first = {a: pos[0] for a, pos in occ.items()}
     last = {a: pos[-1] for a, pos in occ.items()}
@@ -260,22 +263,20 @@ def ascending_adjacent_type(sp: StirlingPerm) -> Partition:
         b = starts.get(last[a] + 1)
         if b is not None and a < b:
             succ[a] = b
-    return _chain_type(succ, sp.n)
+    return chain_type(succ, range(1, sp.n + 1))
 
 
 def terminally_nested_type(sp: StirlingPerm, j: int) -> Partition:
     """Chain a -> last letter of the j-th gap segment of B(a), when nonempty."""
     if not 1 <= j <= sp.r - 1:
         raise ValueError(f"j must be in 1..{sp.r - 1}")
-    if sp.n == 0:
-        return ()
     occ = _occurrences(sp)
     succ = {}
     for a in range(1, sp.n + 1):
         pos = occ[a]
         if pos[j] - pos[j - 1] > 1:
             succ[a] = sp.word[pos[j] - 1]
-    return _chain_type(succ, sp.n)
+    return chain_type(succ, range(1, sp.n + 1))
 
 
 def descending_adjacent_type(sp: StirlingPerm) -> Partition:

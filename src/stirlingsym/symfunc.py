@@ -374,11 +374,6 @@ class SymFunc:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_component(self, d: int) -> "SymFunc":
-        return SymFunc(
-            self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == d}
-        )
-
     def coefficient(self, lam) -> Fraction:
         return self.terms.get(check_partition(lam), Fraction(0))
 

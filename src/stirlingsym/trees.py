@@ -8,18 +8,19 @@ child.  There are (2n-3)!! normalized trees on [n] for n >= 2.
 
 An internal node x is a *chain node* (historically: Lyndon node) when its
 left child is a leaf, or when the valency of the right child of its left
-child exceeds the valency of its own right child.  Two block partitions of
-the internal nodes drive everything here:
-
-* the *Lyn* partition glues every non-chain node to its left child;
-* the *Comb* partition glues every node to its right child when that child
-  is internal.
-
-Their block-size partitions are the two tree types.  Colorings of internal
+child exceeds the valency of its own right child.  Colorings of internal
 nodes subject to ``color(left) > color(node)`` at non-chain nodes (Lyn kind)
 or ``color(node) > color(right)`` at nodes with internal right child (Comb
 kind) give the colored families; content counts how many nodes carry each
-color.
+color.  Gluing the two nodes of every constraint partitions the internal
+nodes; each node is glued to at most one child and from at most one parent,
+so the blocks are chains, and their sizes
+(:func:`~stirlingsym.partitions.chain_type`) are the two tree types.
+
+:func:`analyze` is the only walk over a tree: one pass records each
+internal node in preorder with its children and chain flag, computing
+valencies bottom-up, and raises ValueError on a tree that is not normalized.
+The types, the colorings and :func:`is_normalized` all read its records.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .partitions import Partition, WeakComposition, sort_to_partition, trim
+from .partitions import (
+    Partition,
+    WeakComposition,
+    chain_type,
+    sort_to_partition,
+    trim,
+    weak_compositions,
+)
 from .series import SymFuncRing, TruncatedSeries
 from .symfunc import SymFunc
 
@@ -50,16 +58,6 @@ def leaves(t) -> list[int]:
 def valency(t) -> int:
     """Smallest leaf label of the subtree."""
     return t if is_leaf(t) else min(valency(t[0]), valency(t[1]))
-
-
-def is_normalized(t) -> bool:
-    if is_leaf(t):
-        return True
-    return (
-        valency(t[0]) == valency(t)
-        and is_normalized(t[0])
-        and is_normalized(t[1])
-    )
 
 
 def _tree_sort_key(t):
@@ -122,28 +120,40 @@ class _NodeInfo:
 
 
 def analyze(t) -> list[_NodeInfo]:
-    """Preorder records for the internal nodes of a normalized tree."""
+    """Preorder records for the internal nodes of a normalized tree.
+
+    One pass: each subtree returns its valency and the valency of its right
+    child, which decides the chain flag of its parent.  Raises ValueError when
+    some internal node's smallest label is not in its left subtree.
+    """
     info: list[_NodeInfo] = []
 
-    def visit(node) -> tuple[int | None, int]:
-        # returns (internal index or None, valency)
+    def visit(node) -> tuple[int | None, int, int | None]:
+        # (internal index or None, valency, valency of the right child)
         if is_leaf(node):
-            return None, node
+            return None, node, None
         index = len(info)
         info.append(None)  # placeholder, filled after children are known
-        left, right = node
-        left_index, vleft = visit(left)
-        right_index, vright = visit(right)
-        if left_index is None:
-            chain = True
-        else:
-            v_rl = valency(left[1])
-            chain = v_rl > vright
+        left_index, vleft, v_rl = visit(node[0])
+        right_index, vright, _ = visit(node[1])
+        if vleft > vright:
+            raise ValueError("tree is not normalized")
+        chain = left_index is None or v_rl > vright
         info[index] = _NodeInfo(index, left_index, right_index, chain)
-        return index, min(vleft, vright)
+        return index, vleft, vright
 
     visit(t)
     return info
+
+
+def is_normalized(t) -> bool:
+    """Whether every subtree's smallest label sits in its leftmost leaf; one
+    pass of :func:`analyze`."""
+    try:
+        analyze(t)
+    except ValueError:
+        return False
+    return True
 
 
 def is_lyndon_node(node) -> bool:
@@ -164,56 +174,21 @@ def is_lyndon_tree(t) -> bool:
     return is_normalized(t) and all(rec.chain_node for rec in analyze(t))
 
 
-def _blocks(size: int, unions) -> list[int]:
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in unions:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    sizes: dict[int, int] = {}
-    for x in range(size):
-        root = find(x)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.values(), reverse=True)
+def tree_type(t, kind: str) -> Partition:
+    """Chain sizes of the kind's coloring constraints, largest first."""
+    info = analyze(t)
+    succ = dict(_coloring_constraints(info, kind))
+    return chain_type(succ, range(len(info)))
 
 
 def lyndon_type(t) -> Partition:
     """Block sizes after gluing each non-chain node to its left child."""
-    if not is_normalized(t):
-        raise ValueError("tree is not normalized")
-    info = analyze(t)
-    unions = [
-        (rec.index, rec.left_index) for rec in info if not rec.chain_node
-    ]
-    return tuple(_blocks(len(info), unions))
+    return tree_type(t, "lyn")
 
 
 def comb_type(t) -> Partition:
     """Block sizes after gluing each node to its internal right child."""
-    if not is_normalized(t):
-        raise ValueError("tree is not normalized")
-    info = analyze(t)
-    unions = [
-        (rec.index, rec.right_index)
-        for rec in info
-        if rec.right_index is not None
-    ]
-    return tuple(_blocks(len(info), unions))
-
-
-def tree_type(t, kind: str) -> Partition:
-    if kind == "lyn":
-        return lyndon_type(t)
-    if kind == "comb":
-        return comb_type(t)
-    raise ValueError(f"kind must be one of {KINDS}")
+    return tree_type(t, "comb")
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +370,12 @@ def forbidden_trees(kind: str, n: int) -> list[ColoredTree]:
         for m in range(n - 2, 0, -1):
             shape = (m, shape)
     out = []
-    palette = list(range(1, n))
-    for mult in _weak_monotone(len(palette), n - 1):
+    # lexicographic multiplicity vectors of weakly increasing color sequences
+    for mult in reversed(weak_compositions(n - 1, n - 1)):
         # mult[i] copies of color i+1, listed from the deepest node upward
         seq: list[int] = []
         for i, m in enumerate(mult):
-            seq.extend([palette[i]] * m)
+            seq.extend([i + 1] * m)
         if kind == "lyn":
             # preorder = root first; colors weakly increase toward the root
             colors = tuple(reversed(seq))
@@ -409,20 +384,6 @@ def forbidden_trees(kind: str, n: int) -> list[ColoredTree]:
             colors = tuple(seq)
         out.append(ColoredTree(shape, colors))
     return out
-
-
-def _weak_monotone(colors: int, length: int):
-    """Multiplicity vectors of weakly increasing color sequences."""
-
-    def gen(rest: int, slots: int):
-        if slots == 1:
-            yield (rest,)
-            return
-        for first in range(rest + 1):
-            for tail in gen(rest - first, slots - 1):
-                yield (first,) + tail
-
-    yield from gen(length, colors)
 
 
 def forbidden_tree_egf(kind: str, order: int) -> TruncatedSeries:

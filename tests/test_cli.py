@@ -208,6 +208,52 @@ def test_enumerating_checks_refuse_large_n_before_any_word(capsys, monkeypatch, 
     stirling.check_word_budget(8, 2)
 
 
+@pytest.mark.parametrize("r", [126, 1000])
+def test_equidist_refuses_typing_work_before_any_word(capsys, monkeypatch, r):
+    # Q(2, r) has only r + 1 words, but each is typed for 2r kinds at O(r)
+    def no_walk(n, r):
+        raise AssertionError("the word walk must not start")
+
+    monkeypatch.setattr(stirling, "_walk", no_walk)
+    code, out, err = run(capsys, "verify", "--identity", "equidist", "--n", "2",
+                         "--r", str(r))
+    assert (code, out) == (2, "")
+    assert f"over the typing limit {stirling.TYPING_MAX_WORK}" in err
+    # Q(2, 125) and the sizes of the default battery stay accepted
+    stirling.check_typing_budget(2, 125)
+    for n, r in [(6, 1), (6, 2), (5, 3)]:
+        stirling.check_typing_budget(n, r)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equicard", "--n", "9"], "'equicard' takes no --n; its size options: none"),
+        (["prop11", "--n", "3"], "'prop11' takes no --n; its size options: --order"),
+        (["forbidden", "--r", "3"],
+         "'forbidden' takes no --r; its size options: --order"),
+        (["htoe", "--order", "3", "--n", "3"], "'htoe' takes no --order; its size "
+         "options: --n (or --order in its place)"),
+    ],
+)
+def test_verify_refuses_a_size_option_the_check_does_not_take(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "--identity", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: identity {message}\n"
+
+
+def test_verify_keeps_the_order_fallback_and_the_lenient_battery(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--identity", "htoe", "--order", "3")
+    assert (code, out) == (0, "htoe [n=3]: pass\n")
+    # the whole battery passes each check only the options it takes
+    checks = {"a": lambda order=1: VerificationReport("a", {"order": order}, True),
+              "b": lambda weight=2: VerificationReport("b", {"weight": weight}, True)}
+    monkeypatch.setattr(cli, "registry", lambda: checks)
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--order", "5",
+                       "--r", "3")
+    assert (code, out) == (0, "a [order=5]: pass\nb [weight=2]: pass\n")
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stirlingsym.partitions import (
+    chain_type,
     check_partition,
     compositions_of,
     conjugate,
@@ -86,6 +87,16 @@ def test_weak_compositions():
         assert len(got) == comb(n + k - 1, k - 1)
         assert len(set(got)) == len(got)
         assert all(sum(mu) == n and len(mu) == k for mu in got)
+
+
+def test_chain_type():
+    assert chain_type({}, range(0)) == ()
+    # no links: every element is its own chain
+    assert chain_type({}, range(1, 4)) == (1, 1, 1)
+    # one chain 2 -> 5 -> 1 -> 3 through every element
+    assert chain_type({2: 5, 5: 1, 1: 3}, [1, 2, 3, 5]) == (4,)
+    # disjoint chains 1 -> 4, 3 -> 6 -> 2 -> 7 and the singleton 5
+    assert chain_type({1: 4, 3: 6, 6: 2, 2: 7}, range(1, 8)) == (4, 2, 1)
 
 
 def test_conjugate_is_an_involution():

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
 import json
 from math import comb, factorial
 
+import pytest
+
+from stirlingsym import cli
 from stirlingsym.partitions import sort_to_partition, trim, weak_compositions
 from stirlingsym.stirling import enumerate_stirling, type_of
 from stirlingsym.symfunc import SymFunc, basis_element, convert
@@ -24,6 +28,7 @@ from stirlingsym.trees import (
     render_tree,
     tree_from_json,
     tree_to_json,
+    tree_type,
     type_generating_function,
     valency,
 )
@@ -34,6 +39,55 @@ def double_factorial(k):
     for odd in range(1, k + 1, 2):
         out *= odd
     return out
+
+
+def recursive_is_normalized(t):
+    """Oracle: the defining recursion, valency recomputed at every node."""
+    if is_leaf(t):
+        return True
+    return (
+        valency(t[0]) == valency(t)
+        and recursive_is_normalized(t[0])
+        and recursive_is_normalized(t[1])
+    )
+
+
+def all_leaf_labelled_trees(labels):
+    """Every binary tree whose leaves carry `labels` in some order."""
+    for word in itertools.permutations(labels):
+        yield from _shapes(word)
+
+
+def _shapes(word):
+    # every binary bracketing of a fixed leaf word
+    if len(word) == 1:
+        yield word[0]
+        return
+    for cut in range(1, len(word)):
+        for left in _shapes(word[:cut]):
+            for right in _shapes(word[cut:]):
+                yield (left, right)
+
+
+def union_find_blocks(size, unions):
+    """Oracle: block sizes of the partition that the unions generate."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in unions:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    sizes = {}
+    for x in range(size):
+        root = find(x)
+        sizes[root] = sizes.get(root, 0) + 1
+    return tuple(sorted(sizes.values(), reverse=True))
 
 
 def test_counts():
@@ -51,6 +105,71 @@ def test_enumeration_yields_distinct_normalized_trees():
         for t in trees:
             assert is_normalized(t)
             assert sorted(leaves(t)) == list(range(1, n + 1))
+
+
+def test_one_pass_decides_normalization_on_every_tree():
+    for n in range(1, 6):
+        found = list(all_leaf_labelled_trees(tuple(range(1, n + 1))))
+        assert len(found) == factorial(n) * comb(2 * n - 2, n - 1) // n
+        normalized = 0
+        for t in found:
+            want = recursive_is_normalized(t)
+            assert is_normalized(t) == want
+            if want:
+                normalized += 1
+                continue
+            for fn in (analyze, lyndon_type, comb_type):
+                with pytest.raises(ValueError, match="tree is not normalized"):
+                    fn(t)
+        assert normalized == double_factorial(2 * n - 3)
+    assert len(found) == 1680
+
+
+def test_tree_types_are_the_union_find_blocks():
+    unions = {
+        "lyn": lambda info: [(rec.index, rec.left_index)
+                             for rec in info if not rec.chain_node],
+        "comb": lambda info: [(rec.index, rec.right_index)
+                              for rec in info if rec.right_index is not None],
+    }
+    for n in range(1, 8):
+        for t in enumerate_normalized(n):
+            info = analyze(t)
+            for kind, pairs in unions.items():
+                assert tree_type(t, kind) == union_find_blocks(len(info), pairs(info))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        tree_type((1, 2), "nope")
+
+
+def _cli_sha256(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_tree_listings_are_pinned(capsys):
+    # the n = 7 digest is the one the benchmark's oracle checks
+    assert _cli_sha256(capsys, "enumerate", "--what", "trees", "--n", "7",
+                       "--format", "json") == (
+        "7bb9a7bec9a2393707e5cb2a0b63e320efaaf8a82de5ff4a4a8c0ce8372ad1bd")
+    assert _cli_sha256(capsys, "enumerate", "--what", "trees", "--n", "5") == (
+        "e17e8890549378b2a3bf4d57d515abe4f16d7161945eaae3b28d4ac27f32343e")
+
+
+def test_forbidden_tree_order_is_pinned():
+    def listing(kind, n):
+        return [(ct.tree, ct.colors) for ct in forbidden_trees(kind, n)]
+
+    assert listing("lyn", 3) == [
+        (((1, 2), 3), (2, 2)), (((1, 2), 3), (2, 1)), (((1, 2), 3), (1, 1))]
+    assert listing("comb", 3) == [
+        ((1, (2, 3)), (2, 2)), ((1, (2, 3)), (1, 2)), ((1, (2, 3)), (1, 1))]
+    digests = {
+        "lyn": "1d388375765aa886d5a878388b8cc89018e1c6ad350c21948fd61cb2a8189e8e",
+        "comb": "74bb10f532a60f7ac30d3b8ed72ebcc2655c588ecdbb96145ca576cfa6a956e8",
+    }
+    for kind, digest in digests.items():
+        text = repr([listing(kind, n) for n in range(1, 6)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_valency_and_lyndon_nodes():
