@@ -38,6 +38,9 @@ EXIT_BROKEN_PIPE = 141
 #: Options whose value is a comma list that may start with a negative number.
 _LIST_OPTIONS = ("--coeffs", "--mu", "--lambda")
 
+#: The size options of ``verify``.
+_SIZE_OPTIONS = ("order", "n", "r")
+
 
 def _attach_list_values(argv: list[str]) -> list[str]:
     """Rewrite ``--coeffs -1,2`` as ``--coeffs=-1,2``.
@@ -166,16 +169,15 @@ def _cmd_eulerian(args) -> int:
     return 0
 
 
-def _call_check(name, fn, args, strict: bool):
+def _call_check(name, fn, args):
     """Run one check with the size options it takes.
 
     ``--order`` stands in for ``n`` when the check takes ``n`` and no
-    ``--n`` is given.  With ``strict``, any other option the check does not
-    take is refused; otherwise it is dropped.
+    ``--n`` is given.  Any other option the check does not take is refused.
     """
     accepted = inspect.signature(fn).parameters
     kwargs = {}
-    for option in ("order", "n", "r"):
+    for option in _SIZE_OPTIONS:
         value = getattr(args, option)
         if value is None:
             continue
@@ -183,8 +185,8 @@ def _call_check(name, fn, args, strict: bool):
             kwargs[option] = value
         elif option == "order" and "n" in accepted and args.n is None:
             kwargs["n"] = value
-        elif strict:
-            taken = [f"--{p}" for p in ("order", "n", "r") if p in accepted]
+        else:
+            taken = [f"--{p}" for p in _SIZE_OPTIONS if p in accepted]
             if "n" in accepted and "order" not in accepted:
                 taken[taken.index("--n")] = "--n (or --order in its place)"
             raise ValueError(f"identity {name!r} takes no --{option}; its size "
@@ -196,6 +198,11 @@ def _cmd_verify(args) -> int:
     checks = registry()
     as_json = args.json or args.format == "json"
     if args.identity == "all":
+        given = [f"--{option}" for option in _SIZE_OPTIONS
+                 if getattr(args, option) is not None]
+        if given:
+            raise ValueError(f"--identity all takes no {given[0]}; the battery "
+                             "runs every check at its default size")
         names = list(checks)
     elif args.identity in checks:
         names = [args.identity]
@@ -203,8 +210,7 @@ def _cmd_verify(args) -> int:
         known = ", ".join(checks)
         print(f"unknown identity {args.identity!r}; known: {known}, all", file=sys.stderr)
         return 2
-    strict = args.identity != "all"
-    reports = [_call_check(name, checks[name], args, strict) for name in names]
+    reports = [_call_check(name, checks[name], args) for name in names]
     if as_json:
         payload = [r.to_json() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=None))

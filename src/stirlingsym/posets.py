@@ -35,20 +35,26 @@ from .report import VerificationReport, first_mismatch
 from .stirling import stirling_symfunc
 from .symfunc import convert
 
+#: Largest interval that ``interval`` materializes.  Building and validating
+#: the order costs O(size^2) comparisons: the largest interval accepted,
+#: "pi" at n=6 below (2, 2, 1) with 1,760 elements, takes about 19 s, and
+#: "pi" at n=6 below (2, 1, 1, 1), with 2,866, about 41 s.
+INTERVAL_MAX_ELEMENTS = 2_000
 
-def set_partitions(ground) -> list[tuple[tuple[int, ...], ...]]:
-    """All set partitions of the ground tuple, blocks and output canonical."""
+
+def set_partitions(ground):
+    """Stream the set partitions of the ground tuple, blocks and output
+    canonical."""
     ground = tuple(ground)
     if not ground:
-        return [()]
+        yield ()
+        return
     first, rest = ground[0], ground[1:]
-    out = []
     for smaller in set_partitions(rest):
-        out.append(tuple(sorted(((first,),) + smaller)))
+        yield tuple(sorted(((first,),) + smaller))
         for i, block in enumerate(smaller):
             grown = tuple(sorted((first,) + block))
-            out.append(tuple(sorted(smaller[:i] + (grown,) + smaller[i + 1 :])))
-    return out
+            yield tuple(sorted(smaller[:i] + (grown,) + smaller[i + 1 :]))
 
 
 class Interval:
@@ -105,12 +111,10 @@ class Interval:
         return value[self.top]
 
 
-def _partition_interval(n: int, mu) -> Interval:
-    mu = trim(mu)
+def _partition_elements(n: int, mu):
     if sum(mu) != n - 1:
         raise ValueError(f"top weight must have size n-1 = {n - 1}, got {mu}")
     width = max(1, len(mu))
-    elements = []
     for blocks in set_partitions(range(1, n + 1)):
         choices = []
         for block in blocks:
@@ -124,15 +128,14 @@ def _partition_interval(n: int, mu) -> Interval:
 
         def assign(i: int, acc, total):
             if i == len(blocks):
-                elements.append(tuple(zip(blocks, acc)))
+                yield tuple(zip(blocks, acc))
                 return
             for nu in choices[i]:
                 new_total = wcomp_add(total, nu)
                 if wcomp_leq(new_total, mu):
-                    assign(i + 1, acc + (nu,), new_total)
+                    yield from assign(i + 1, acc + (nu,), new_total)
 
-        assign(0, (), ())
-    return Interval("pi", n, mu, elements, _partition_leq)
+        yield from assign(0, (), ())
 
 
 def _partition_leq(x, y) -> bool:
@@ -150,19 +153,16 @@ def _partition_leq(x, y) -> bool:
     return all(wcomp_leq(s, w) for s, (_, w) in zip(sums, y))
 
 
-def _subset_interval(n: int, mu) -> Interval:
-    mu = trim(mu)
+def _subset_elements(n: int, mu):
     if sum(mu) != n:
         raise ValueError(f"top weight must have size n = {n}, got {mu}")
     width = max(1, len(mu))
     ground = tuple(range(1, n + 1))
-    elements = []
     for size in range(n + 1):
         for subset in combinations(ground, size):
             for nu in weak_compositions(size, width):
                 if wcomp_leq(nu, mu):
-                    elements.append((subset, trim(nu)))
-    return Interval("b", n, mu, elements, _subset_leq)
+                    yield (subset, trim(nu))
 
 
 def _subset_leq(x, y) -> bool:
@@ -170,15 +170,30 @@ def _subset_leq(x, y) -> bool:
 
 
 def interval(kind: str, n: int, mu) -> Interval:
-    """Materialize the maximal interval below the one-block/full-set top."""
+    """Materialize the maximal interval below the one-block/full-set top.
+
+    Refuses an interval of more than ``INTERVAL_MAX_ELEMENTS`` elements as
+    soon as listing passes that count, before the order is built.
+    """
     negative = [x for x in mu if x < 0]
     if negative:
         raise ValueError(f"mu={tuple(mu)} has a negative part {negative[0]}")
     if kind == "pi":
-        return _partition_interval(n, mu)
-    if kind == "b":
-        return _subset_interval(n, mu)
-    raise ValueError("kind must be 'pi' or 'b'")
+        list_elements, leq = _partition_elements, _partition_leq
+    elif kind == "b":
+        list_elements, leq = _subset_elements, _subset_leq
+    else:
+        raise ValueError("kind must be 'pi' or 'b'")
+    mu = trim(mu)
+    elements = []
+    for element in list_elements(n, mu):
+        if len(elements) == INTERVAL_MAX_ELEMENTS:
+            raise ValueError(
+                f"the {kind} interval at n={n} below mu={mu} has more than "
+                f"{INTERVAL_MAX_ELEMENTS} elements, the interval limit "
+                "(posets.INTERVAL_MAX_ELEMENTS)")
+        elements.append(element)
+    return Interval(kind, n, mu, elements, leq)
 
 
 def mobius_invariant(kind: str, n: int, mu) -> int:

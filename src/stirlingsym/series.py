@@ -1,4 +1,4 @@
-"""Truncated power series over an abstract commutative coefficient ring.
+"""Truncated power series over a commutative coefficient ring.
 
 A :class:`TruncatedSeries` stores coefficients a_0..a_N of sum a_n y^n.  The
 flavor tag distinguishes ordinary from exponential generating functions, but
@@ -8,139 +8,75 @@ presentation boundary (:meth:`TruncatedSeries.egf_coefficient` and the
 ``from_egf_coefficients`` constructor).  With that convention multiplication
 and composition are the same Cauchy/substitution formulas for both flavors.
 
-The coefficient ring is described by a small adapter object providing exact
-zero, one, rational embedding, products and unit inversion; ring elements
-themselves are expected to support ``+``, ``-`` and ``==``.  Every product of
-two ring elements goes through the adapter's ``mul``, so an adapter can bound
-it.  Adapters for Q, Q[t] and the ring of symmetric functions are provided.
+The coefficient ring is one :class:`Ring`: a name, its one, a map to an
+element's constant term and a product.  Ring elements support ``+``, ``-``,
+``==``, truth testing (false exactly at zero) and multiplication by a
+rational; every product of two elements goes through ``Ring.mul``, so a ring
+can bound it.  The paper's inversion identities are read over three rings:
+Q (:data:`QQ`), Q[t] (:data:`QT`) and the symmetric functions
+(:func:`SymFuncRing`).  In each the units are the nonzero rational constants.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
-from .partitions import parse_rational, rational_str
 from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, TPoly, convert, multiply
 
 FLAVORS = ("ogf", "egf")
 
 
-class RationalRing:
-    """Adapter for Q with elements fractions.Fraction."""
+class Ring:
+    """A coefficient ring whose units are the nonzero rational constants.
 
-    name = "Q"
+    ``one`` is the ring's one, ``constant(a)`` the rational constant term of
+    an element and ``mul`` the product of two elements.
+    """
 
-    def zero(self):
-        return Fraction(0)
+    __slots__ = ("name", "_one", "_zero", "constant", "mul")
 
-    def one(self):
-        return Fraction(1)
-
-    def from_rational(self, q):
-        return Fraction(q)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def is_unit(self, a) -> bool:
-        return a != 0
-
-    def mul(self, a, b):
-        return a * b
-
-    def invert(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        return Fraction(1) / a
-
-    def to_json(self, a):
-        return rational_str(a)
-
-    def from_json(self, data):
-        return parse_rational(data)
-
-
-class TPolyRing:
-    """Adapter for Q[t]; units are the nonzero constants."""
-
-    name = "Q[t]"
+    def __init__(self, name: str, one, constant, mul=operator.mul):
+        self.name = name
+        self._one = one
+        self._zero = one * 0
+        self.constant = constant
+        self.mul = mul
 
     def zero(self):
-        return TPoly()
+        return self._zero
 
     def one(self):
-        return TPoly.const(1)
+        return self._one
 
     def from_rational(self, q):
-        return TPoly.const(q)
+        return self._one * q
 
     def is_zero(self, a) -> bool:
         return not a
 
     def is_unit(self, a) -> bool:
-        return set(a.coeffs) == {0}
-
-    def mul(self, a, b):
-        return a * b
+        c = self.constant(a)
+        return c != 0 and a == self._one * c
 
     def invert(self, a):
         if not self.is_unit(a):
-            raise ValueError(f"{a} is not a unit in Q[t]")
-        return TPoly.const(Fraction(1) / a.coeffs[0])
-
-    def to_json(self, a):
-        return a.to_json()
-
-    def from_json(self, data):
-        return TPoly.from_json(data)
+            raise ValueError(f"{a} is not a unit in {self.name}")
+        return self._one * (Fraction(1) / self.constant(a))
 
 
-class SymFuncRing:
-    """Adapter for the ring of symmetric functions over Q.
+QQ = Ring("Q", Fraction(1), lambda a: a)
+QT = Ring("Q[t]", TPoly.const(1), lambda a: a.coeffs.get(0, 0))
 
-    Units are the nonzero rational constants.  ``basis`` fixes the preferred
-    basis tag for zero/one and embedded rationals; ``cap`` bounds the degree
-    of any product formed through this adapter.
+
+def SymFuncRing(basis: str = "h", cap: int = DEFAULT_DEGREE_CAP) -> Ring:
+    """The symmetric functions over Q, elements tagged with ``basis``.
+
+    Products formed through the ring are capped at degree ``cap``.
     """
-
-    def __init__(self, basis: str = "h", cap: int = DEFAULT_DEGREE_CAP):
-        self.basis = basis
-        self.cap = cap
-        self.name = f"Lambda[{basis}]"
-
-    def zero(self):
-        return SymFunc.zero(self.basis)
-
-    def one(self):
-        return SymFunc.one(self.basis)
-
-    def from_rational(self, q):
-        return SymFunc(self.basis, {(): Fraction(q)})
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def is_unit(self, a) -> bool:
-        return set(a.terms) == {()}
-
-    def mul(self, a, b):
-        return multiply(a, b, self.cap)
-
-    def invert(self, a):
-        if not self.is_unit(a):
-            raise ValueError("only nonzero constants are units in Lambda")
-        return self.from_rational(Fraction(1) / a.constant_term())
-
-    def to_json(self, a):
-        return a.to_json()
-
-    def from_json(self, data):
-        return SymFunc.from_json(data)
-
-
-QQ = RationalRing()
-QT = TPolyRing()
+    return Ring(f"Lambda[{basis}]", SymFunc.one(basis), SymFunc.constant_term,
+                lambda a, b: multiply(a, b, cap))
 
 
 class TruncatedSeries:
@@ -324,24 +260,6 @@ class TruncatedSeries:
             power = power.mul(h)
             g.append(ring.mul(ring.from_rational(Fraction(1, n)), power.coeffs[n - 1]))
         return TruncatedSeries(ring, self.flavor, self.order, g)
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "flavor": self.flavor,
-            "order": self.order,
-            "coeffs": [self.ring.to_json(a) for a in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, ring, data) -> "TruncatedSeries":
-        return cls(
-            ring,
-            data["flavor"],
-            data["order"],
-            [ring.from_json(x) for x in data["coeffs"]],
-        )
 
 
 def symfunc_egf(order: int, fn, basis: str = "h") -> TruncatedSeries:

@@ -371,8 +371,8 @@ class SymFunc:
     def degree(self) -> int:
         return max((sum(lam) for lam in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def coefficient(self, lam) -> Fraction:
         return self.terms.get(check_partition(lam), Fraction(0))
@@ -553,7 +553,7 @@ def convert(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
 
 def multiply(f: SymFunc, g: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     """Product in the ring, returned in the basis of f."""
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         return SymFunc(f.basis, {})
     _check_cap(f.degree() + g.degree(), cap)
     # multiplicative bases concatenate partitions; m and s pivot through one

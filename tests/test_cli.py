@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stirlingsym import cli, stirling, symfunc, trees
+from stirlingsym import cli, posets, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
 from stirlingsym.report import VerificationReport
 from stirlingsym.symfunc import SymFunc
@@ -174,6 +174,23 @@ def test_drake_refuses_large_order_before_any_work(capsys, monkeypatch):
     assert check_drake(6).passed
 
 
+@pytest.mark.parametrize("poset, n, mu, leq", [
+    ("pi", "6", "1,1,1,1,1", "_partition_leq"),
+    ("pi", "8", "7", "_partition_leq"),
+    ("b", "12", "6,6", "_subset_leq"),
+])
+def test_mobius_refuses_a_large_interval_before_building_its_order(
+        capsys, monkeypatch, poset, n, mu, leq):
+    def no_order(x, y):
+        raise AssertionError("the order must not be built")
+
+    monkeypatch.setattr(posets, leq, no_order)
+    code, out, err = run(capsys, "mobius", "--poset", poset, "--n", n, "--mu", mu)
+    assert (code, out) == (2, "")
+    assert (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
+            "interval limit (posets.INTERVAL_MAX_ELEMENTS)") in err
+
+
 def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
     def no_tally(n, r):
         raise AssertionError("the type recurrence must not start")
@@ -242,16 +259,21 @@ def test_verify_refuses_a_size_option_the_check_does_not_take(capsys, argv, mess
     assert err == f"error: identity {message}\n"
 
 
-def test_verify_keeps_the_order_fallback_and_the_lenient_battery(capsys, monkeypatch):
+def test_verify_keeps_the_order_fallback_and_the_battery_refuses_size_options(
+        capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--identity", "htoe", "--order", "3")
     assert (code, out) == (0, "htoe [n=3]: pass\n")
-    # the whole battery passes each check only the options it takes
-    checks = {"a": lambda order=1: VerificationReport("a", {"order": order}, True),
-              "b": lambda weight=2: VerificationReport("b", {"weight": weight}, True)}
-    monkeypatch.setattr(cli, "registry", lambda: checks)
-    code, out, _ = run(capsys, "verify", "--identity", "all", "--order", "5",
-                       "--r", "3")
-    assert (code, out) == (0, "a [order=5]: pass\nb [weight=2]: pass\n")
+    # the battery refuses a size option before any check runs
+
+    def refuse(**kwargs):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setattr(cli, "registry", lambda: {"a": refuse, "b": refuse})
+    for option in ("--order", "--n", "--r"):
+        code, out, err = run(capsys, "verify", "--identity", "all", option, "5")
+        assert (code, out) == (2, "")
+        assert err == (f"error: --identity all takes no {option}; the battery "
+                       "runs every check at its default size\n")
 
 
 def _limit_address_space():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from stirlingsym import posets
 from stirlingsym.partitions import partitions_of, trim, wcomp_leq, weak_compositions
 from stirlingsym.posets import (
     Interval,
@@ -18,7 +19,7 @@ BELL = [1, 1, 2, 5, 15, 52]
 
 def test_set_partitions():
     for n in range(6):
-        parts = set_partitions(range(1, n + 1))
+        parts = list(set_partitions(range(1, n + 1)))
         assert len(parts) == BELL[n]
         assert len(set(parts)) == len(parts)
         for blocks in parts:
@@ -71,6 +72,16 @@ def test_partition_interval_examples():
     # a weight bounded purely by the first coordinate collapses to the plain
     # partition lattice, whose invariant is -(n-1)!
     assert mobius_invariant("pi", 4, (3,)) == -6
+
+
+def test_interval_limit_admits_an_interval_of_its_own_size(monkeypatch):
+    assert posets.INTERVAL_MAX_ELEMENTS == 2_000
+    # pi at n=3 below (2, 0) has 5 elements
+    monkeypatch.setattr(posets, "INTERVAL_MAX_ELEMENTS", 5)
+    assert len(interval("pi", 3, (2, 0)).elements) == 5
+    monkeypatch.setattr(posets, "INTERVAL_MAX_ELEMENTS", 4)
+    with pytest.raises(ValueError, match="more than 4 elements"):
+        interval("pi", 3, (2, 0))
 
 
 def test_subset_interval_examples():

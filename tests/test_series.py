@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -29,7 +30,7 @@ def random_element(ring, rng, max_degree=3):
     for _ in range(rng.randint(0, 3)):
         d = rng.randint(0, max_degree)
         terms[rng.choice(partitions_of(d))] = Fraction(rng.randint(-5, 5))
-    return SymFunc(ring.basis, terms)
+    return SymFunc(ring.one().basis, terms)
 
 
 def random_series_coeffs(ring, rng, order):
@@ -291,16 +292,49 @@ def test_egf_presentation_boundary():
         TruncatedSeries.one(QQ, "ogf", 3).egf_coefficient(1)
 
 
-def test_series_json_roundtrip():
-    s = TruncatedSeries.from_egf_coefficients(QQ, 3, [Fraction(1, 3)] * 4)
-    data = s.to_json()
-    assert data["flavor"] == "egf" and data["order"] == 3
-    assert TruncatedSeries.from_json(QQ, data) == s
-    ring = SymFuncRing(basis="e")
-    f = TruncatedSeries.from_coefficients(
-        ring, "ogf", 2, [basis_element("e", (1,)), ring.one(), ring.zero()]
-    )
-    assert TruncatedSeries.from_json(ring, f.to_json()) == f
+def old_definitions(ring):
+    """zero, one, rational embedding and unit test as each ring had them
+    before the three rings shared one type."""
+    if ring is QQ:
+        return Fraction(0), Fraction(1), Fraction, lambda a: a != 0
+    if ring is QT:
+        return TPoly(), TPoly.const(1), TPoly.const, lambda a: set(a.coeffs) == {0}
+    basis = ring.one().basis
+    return (SymFunc.zero(basis), SymFunc.one(basis),
+            lambda q: SymFunc(basis, {(): Fraction(q)}),
+            lambda a: set(a.terms) == {()})
+
+
+def same(a, b):
+    """Equal, of one type and, for symmetric functions, in one basis."""
+    return (type(a) is type(b) and a == b
+            and getattr(a, "basis", None) == getattr(b, "basis", None))
+
+
+@pytest.mark.parametrize("ring", [QQ, QT, SymFuncRing("h"), SymFuncRing("m")],
+                         ids=lambda r: r.name)
+def test_rings_behave_as_their_old_definitions(ring):
+    zero, one, from_rational, is_unit = old_definitions(ring)
+    assert same(ring.zero(), zero)
+    assert same(ring.one(), one)
+    for q in (Fraction(0), Fraction(1), Fraction(-3, 2), 7):
+        assert same(ring.from_rational(q), from_rational(q))
+    rng = random.Random(7)
+    elements = [zero, one, from_rational(Fraction(-3, 2))]
+    elements += [random_element(ring, rng) for _ in range(40)]
+    if ring is QT:
+        elements += [TPoly.t(), one + TPoly.t()]
+    elif ring is not QQ:
+        x = basis_element(one.basis, (1,))
+        elements += [x, one + x, x * x - one]
+    for a in elements:
+        assert ring.is_zero(a) == (a == zero)
+        assert ring.is_unit(a) == is_unit(a)
+        if is_unit(a):
+            assert same(ring.mul(ring.invert(a), a), one)
+        else:
+            with pytest.raises(ValueError, match=re.escape(ring.name)):
+                ring.invert(a)
 
 
 @settings(max_examples=60, deadline=None)
