@@ -27,7 +27,7 @@ from .moduli import wp_volume
 from .partitions import check_partition, parse_rational, rational_str
 from .posets import interval
 from .stirling import enumerate_stirling, eulerian_polynomial, stirling_symfunc
-from .symfunc import convert, render_symfunc
+from .symfunc import DEFAULT_DEGREE_CAP, _check_cap, convert, render_symfunc
 from .trees import enumerate_normalized, render_tree, tree_to_json
 
 
@@ -161,6 +161,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_eulerian(args) -> int:
+    # no coefficient exceeds |Q(n, r)|: refuse, before the recurrence, a
+    # count with more digits than Python converts to text (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.r >= 1:
+        count, bound = 1, 10 ** limit
+        for k in range(1, args.n + 1):
+            count *= (k - 1) * args.r + 1
+            if count >= bound:
+                raise ValueError(
+                    f"|Q({args.n},{args.r})| has more than {limit} digits, the "
+                    "limit of integer string conversion (sys.get_int_max_str_digits())")
     poly = eulerian_polynomial(args.n, args.r)
     if args.format == "json":
         print(json.dumps(poly.to_json()))
@@ -282,6 +293,7 @@ def expansion_table(r: int, nmax: int = 6) -> str:
 def _cmd_tables(args) -> int:
     if args.nmax < 0:
         raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
+    _check_cap(args.nmax, DEFAULT_DEGREE_CAP)
     if args.out is None:
         for r in (1, 2):
             sys.stdout.write(expansion_table(r, args.nmax))

@@ -24,6 +24,7 @@ from .partitions import (
 from .report import VerificationReport, coefficient_pairs, first_mismatch, series_report
 from .series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
 from .stirling import (
+    check_type_sum_limit,
     check_typing_budget,
     check_word_budget,
     enumerate_stirling,
@@ -236,6 +237,7 @@ def check_riordan(order: int = 8) -> VerificationReport:
     Also verifies that the t-specialization commutes with the underlying
     symmetric-function identity on both sides.
     """
+    check_type_sum_limit(order)
     denominator = _riordan_denominator(order)
     ref = TruncatedSeries.from_egf_coefficients(
         QT, order, [eulerian_polynomial(n, 1) for n in range(order + 1)]
@@ -260,6 +262,7 @@ def check_thm17(order: int = 8) -> VerificationReport:
     that are genuine polynomials in t: the constant term vanishes, the linear
     term is 1 and the y^n/n! coefficient for n >= 2 is -t(1-t)^(n-2).
     """
+    check_type_sum_limit(order - 1)
     closed = TruncatedSeries.from_egf_coefficients(
         QT,
         order,
@@ -437,6 +440,9 @@ def check_equicardinality(weight: int = 4) -> VerificationReport:
 
 def check_forbidden(order: int = 5) -> VerificationReport:
     """Signed EGFs of the forbidden chains equal the alternating h series."""
+    # the series below would meet the cap at h_(order-1) only after
+    # building the matrices of every smaller degree
+    _check_cap(order - 1, DEFAULT_DEGREE_CAP)
     ring = SymFuncRing(basis="m")
     ref = TruncatedSeries.from_egf_coefficients(
         ring,
@@ -494,6 +500,7 @@ def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
     if kind == "mult":
         if f[0] == 0:
             raise ValueError("multiplicative inverse needs f_0 != 0")
+        check_type_sum_limit(order)
         values = {i: f[i] / f[0] for i in range(1, order + 1)}
         return [
             (-1) ** n / f[0] * evaluate_h(stirling_symfunc(n, 1), values)
@@ -502,6 +509,7 @@ def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
     if kind == "comp":
         if f[0] != 0 or f[1] == 0:
             raise ValueError("compositional inverse needs f_0 = 0 and f_1 != 0")
+        check_type_sum_limit(order - 1)
         values = {i: f[i + 1] / f[1] for i in range(1, order)}
         out = [Fraction(0)]
         for n in range(1, order + 1):
@@ -520,6 +528,7 @@ def check_inversion(order: int = 6, samples: int = 50) -> VerificationReport:
     Exercised on the two classical analytic pairs (exp and its reciprocal,
     exp-1 and log(1+y)) and on `samples` random rational EGFs per kind.
     """
+    check_type_sum_limit(order)  # the route of kind "mult" sums types up to order
     rng = random.Random(271828)
 
     def rand_frac():

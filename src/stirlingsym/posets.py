@@ -169,6 +169,19 @@ def _subset_leq(x, y) -> bool:
     return set(x[0]) <= set(y[0]) and wcomp_leq(x[1], y[1])
 
 
+def _listed(kind: str, n: int, mu):
+    """Stream the elements of the interval below mu, refusing it as soon as
+    listing passes ``INTERVAL_MAX_ELEMENTS``, before any order is built."""
+    list_elements = _partition_elements if kind == "pi" else _subset_elements
+    for count, element in enumerate(list_elements(n, mu)):
+        if count == INTERVAL_MAX_ELEMENTS:
+            raise ValueError(
+                f"the {kind} interval at n={n} below mu={mu} has more than "
+                f"{INTERVAL_MAX_ELEMENTS} elements, the interval limit "
+                "(posets.INTERVAL_MAX_ELEMENTS)")
+        yield element
+
+
 def interval(kind: str, n: int, mu) -> Interval:
     """Materialize the maximal interval below the one-block/full-set top.
 
@@ -179,21 +192,13 @@ def interval(kind: str, n: int, mu) -> Interval:
     if negative:
         raise ValueError(f"mu={tuple(mu)} has a negative part {negative[0]}")
     if kind == "pi":
-        list_elements, leq = _partition_elements, _partition_leq
+        leq = _partition_leq
     elif kind == "b":
-        list_elements, leq = _subset_elements, _subset_leq
+        leq = _subset_leq
     else:
         raise ValueError("kind must be 'pi' or 'b'")
     mu = trim(mu)
-    elements = []
-    for element in list_elements(n, mu):
-        if len(elements) == INTERVAL_MAX_ELEMENTS:
-            raise ValueError(
-                f"the {kind} interval at n={n} below mu={mu} has more than "
-                f"{INTERVAL_MAX_ELEMENTS} elements, the interval limit "
-                "(posets.INTERVAL_MAX_ELEMENTS)")
-        elements.append(element)
-    return Interval(kind, n, mu, elements, leq)
+    return Interval(kind, n, mu, _listed(kind, n, mu), leq)
 
 
 def mobius_invariant(kind: str, n: int, mu) -> int:
@@ -212,26 +217,29 @@ def _signed_type_coefficient(kind: str, n: int, shape) -> Fraction:
 
 
 def _check_poset(identity: str, kind: str, nmax: int) -> VerificationReport:
+    # one sorted top weight per shape, and for the first shape of two or
+    # more parts two rearrangements, whose invariant must not change
+    tops = []
+    for n in range(1, nmax + 1):
+        shapes = partitions_of(n if kind == "b" else n - 1)
+        probes = [lam for lam in shapes if len(lam) >= 2][:1]
+        tops += [(n, lam, None) for lam in shapes]
+        tops += [(n, mu, lam) for lam in probes
+                 for mu in ((lam[-1],) + lam[1:-1] + (lam[0],), (0,) + lam)]
+    # count every interval before any is built, so an n with an interval
+    # over the limit is refused before the smaller n run
+    for n, mu, _ in tops:
+        for _ in _listed(kind, n, mu):
+            pass
+
     def cases():
-        for n in range(1, nmax + 1):
-            shapes = partitions_of(n if kind == "b" else n - 1)
-            for lam in shapes:
-                yield (
-                    f"n={n} mu={lam}",
-                    mobius_invariant(kind, n, lam),
-                    _signed_type_coefficient(kind, n, lam),
-                )
-            # rearrangement invariance: permuting or zero-padding the top
-            # weight must not change the Mobius invariant
-            probes = [lam for lam in shapes if len(lam) >= 2]
-            if probes:
-                lam = probes[0]
-                for mu in ((lam[-1],) + lam[1:-1] + (lam[0],), (0,) + lam):
-                    yield (
-                        f"n={n} rearrangement {mu} of {lam}",
-                        mobius_invariant(kind, n, mu),
-                        mobius_invariant(kind, n, lam),
-                    )
+        for n, mu, lam in tops:
+            if lam is None:
+                yield (f"n={n} mu={mu}", mobius_invariant(kind, n, mu),
+                       _signed_type_coefficient(kind, n, mu))
+            else:
+                yield (f"n={n} rearrangement {mu} of {lam}",
+                       mobius_invariant(kind, n, mu), mobius_invariant(kind, n, lam))
 
     return first_mismatch(identity, {"n": nmax}, cases())
 

@@ -11,12 +11,16 @@ Statistics use the boundary convention that a zero sentinel sits on both ends
 of the word, so the final position always counts as a descent and position 0
 as an ascent (for nonempty words).
 
-The four type partitions are built from the block structure: the block B(a)
-of a letter a is the segment spanning all its occurrences.  Ascending
-adjacent chains link a < b when B(b) starts right after B(a) ends;
-j-terminally nested chains link a to the letter whose block is the final
-block inside the j-th gap of B(a).  The reversal map converts these to the
-descending adjacent and j-initially nested variants.
+The four type partitions (:func:`type_of`) are the chain lengths of links
+a -> b, a < b, read off the block structure: the block B(a) of a letter a is
+the segment spanning all its occurrences, and its j-th gap is the segment
+between its j-th and (j+1)-th occurrences.  Ascending adjacent (AA) links
+a to b when B(b) starts right after B(a) ends, descending adjacent (DA)
+when B(b) ends right before B(a) starts; j-terminally nested (TN_j) links a
+to the last letter of its nonempty j-th gap, j-initially nested (IN_j) to
+the first.  Their chain counts are the descents, ascents and j-th plateaux.
+Reversing the word swaps AA with DA and TN_j with IN_(r-j), a property
+that the tests check against these definitions.
 
 The type sums (:func:`stirling_symfunc`) and descent polynomials
 (:func:`eulerian_polynomial`) are computed by block-insertion recurrences
@@ -131,6 +135,12 @@ def check_typing_budget(n: int, r: int) -> None:
     if work > TYPING_MAX_WORK:
         raise ValueError(f"typing Q({n},{r}) for {2 * r} kinds costs {work} steps, "
                          f"over the typing limit {TYPING_MAX_WORK}")
+
+
+def check_type_sum_limit(n: int) -> None:
+    """Refuse, before any work, a type sum F(n, r) above ``TYPE_SUM_MAX_N``."""
+    if n > TYPE_SUM_MAX_N:
+        raise ValueError(f"n={n} exceeds the type-sum limit {TYPE_SUM_MAX_N}")
 
 
 def enumerate_stirling(n: int, r: int) -> Iterator[StirlingPerm]:
@@ -252,67 +262,47 @@ def ring_segments(sp: StirlingPerm, a: int) -> list[tuple[int, ...]]:
     return [tuple(sp.word[occ[j] + 1 : occ[j + 1]]) for j in range(sp.r - 1)]
 
 
+def type_of(sp: StirlingPerm, kind: str = "AA", j: int = 1) -> Partition:
+    """The chain lengths of the links a -> b, a < b, of one kind of type.
+
+    The link of a is the letter b beside one occurrence of a, kept when
+    b > a: by nesting, a larger letter beside B(a) is an end of B(b), and a
+    gap's end letter exceeds a exactly when the gap is nonempty.
+    """
+    _validate_kind(kind, j, sp.r)
+    # b sits beside occurrence k of a (0-based), on this side of it
+    k, side = {"AA": (-1, 1), "DA": (0, -1), "TN": (j, -1), "IN": (j - 1, 1)}[kind]
+    padded = (0,) + sp.word + (0,)  # sp.word[i] is padded[i + 1]
+    beside = {a: padded[pos[k] + 1 + side] for a, pos in _occurrences(sp).items()}
+    links = {a: b for a, b in beside.items() if b > a}
+    return chain_type(links, range(1, sp.n + 1))
+
+
 def ascending_adjacent_type(sp: StirlingPerm) -> Partition:
     """Chain a -> b whenever a < b and B(b) starts right after B(a) ends."""
-    occ = _occurrences(sp)
-    first = {a: pos[0] for a, pos in occ.items()}
-    last = {a: pos[-1] for a, pos in occ.items()}
-    starts = {pos: a for a, pos in first.items()}
-    succ = {}
-    for a in range(1, sp.n + 1):
-        b = starts.get(last[a] + 1)
-        if b is not None and a < b:
-            succ[a] = b
-    return chain_type(succ, range(1, sp.n + 1))
+    return type_of(sp, "AA")
+
+
+def descending_adjacent_type(sp: StirlingPerm) -> Partition:
+    """Chain a -> b whenever a < b and B(b) ends right before B(a) starts."""
+    return type_of(sp, "DA")
 
 
 def terminally_nested_type(sp: StirlingPerm, j: int) -> Partition:
     """Chain a -> last letter of the j-th gap segment of B(a), when nonempty."""
-    if not 1 <= j <= sp.r - 1:
-        raise ValueError(f"j must be in 1..{sp.r - 1}")
-    occ = _occurrences(sp)
-    succ = {}
-    for a in range(1, sp.n + 1):
-        pos = occ[a]
-        if pos[j] - pos[j - 1] > 1:
-            succ[a] = sp.word[pos[j] - 1]
-    return chain_type(succ, range(1, sp.n + 1))
-
-
-def descending_adjacent_type(sp: StirlingPerm) -> Partition:
-    return ascending_adjacent_type(reverse(sp))
+    return type_of(sp, "TN", j)
 
 
 def initially_nested_type(sp: StirlingPerm, j: int) -> Partition:
-    """Chain a -> first letter of the j-th gap segment of B(a), when nonempty.
-
-    Equivalently the terminally nested type of the reversed word; reversal
-    turns gap j into gap r-j, so the index flips to keep the chain count
-    refining the j-th plateau statistic of the original word.
-    """
-    if not 1 <= j <= sp.r - 1:
-        raise ValueError(f"j must be in 1..{sp.r - 1}")
-    return terminally_nested_type(reverse(sp), sp.r - j)
-
-
-def type_of(sp: StirlingPerm, kind: str = "AA", j: int = 1) -> Partition:
-    """Dispatch to one of the four type statistics."""
-    if kind == "AA":
-        return ascending_adjacent_type(sp)
-    if kind == "DA":
-        return descending_adjacent_type(sp)
-    if kind == "TN":
-        return terminally_nested_type(sp, j)
-    if kind == "IN":
-        return initially_nested_type(sp, j)
-    raise ValueError(f"unknown type kind {kind!r}")
+    """Chain a -> first letter of the j-th gap segment of B(a), when nonempty."""
+    return type_of(sp, "IN", j)
 
 
 def _validate_kind(kind: str, j: int, r: int) -> None:
     if kind not in TYPE_KINDS:
         raise ValueError(f"unknown type kind {kind!r}")
     if kind in ("TN", "IN") and not 1 <= j <= r - 1:
-        raise ValueError(f"kind {kind} needs 1 <= j <= r-1 = {r - 1}")
+        raise ValueError(f"j must be in 1..{r - 1}")
 
 
 @lru_cache(maxsize=None)
@@ -355,8 +345,7 @@ def stirling_symfunc(n: int, r: int, kind: str = "AA", j: int = 1) -> SymFunc:
     ``TYPE_SUM_MAX_N`` raises ValueError.
     """
     _validate_kind(kind, j, r)
-    if n > TYPE_SUM_MAX_N:
-        raise ValueError(f"n={n} exceeds the type-sum limit {TYPE_SUM_MAX_N}")
+    check_type_sum_limit(n)
     return SymFunc("e", {lam: Fraction(c) for lam, c in _type_tally(n, r)})
 
 

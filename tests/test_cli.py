@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from stirlingsym import cli, posets, stirling, symfunc, trees
+from stirlingsym import cli, identities, posets, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
 from stirlingsym.report import VerificationReport
+from stirlingsym.series import TruncatedSeries
 from stirlingsym.symfunc import SymFunc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,6 +190,59 @@ def test_mobius_refuses_a_large_interval_before_building_its_order(
     assert (code, out) == (2, "")
     assert (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
             "interval limit (posets.INTERVAL_MAX_ELEMENTS)") in err
+
+
+_TYPE_SUM_REFUSAL = f"n=31 exceeds the type-sum limit {stirling.TYPE_SUM_MAX_N}"
+_CAP_REFUSAL = "degree 9 exceeds the cap 8; pass a larger cap explicitly"
+_INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
+                     "interval limit (posets.INTERVAL_MAX_ELEMENTS)")
+
+
+@pytest.mark.parametrize("argv, owner, step, message", [
+    (["verify", "--identity", "thm62", "--n", "6"], posets, "_partition_leq",
+     _INTERVAL_REFUSAL),
+    (["verify", "--identity", "thm64", "--n", "9"], posets, "_subset_leq",
+     _INTERVAL_REFUSAL),
+    (["verify", "--identity", "riordan", "--order", "31"], TruncatedSeries, "inv",
+     _TYPE_SUM_REFUSAL),
+    (["verify", "--identity", "inversion", "--order", "31"], TruncatedSeries, "inv",
+     _TYPE_SUM_REFUSAL),
+    # comp_inverse inverts through inv
+    (["verify", "--identity", "thm17", "--order", "32"], TruncatedSeries, "inv",
+     _TYPE_SUM_REFUSAL),
+    (["invert", "--kind", "mult", "--coeffs", ",".join(["1"] * 32)], stirling,
+     "_type_tally", _TYPE_SUM_REFUSAL),
+    (["verify", "--identity", "forbidden", "--order", "10"], identities, "convert",
+     _CAP_REFUSAL),
+    (["tables", "--nmax", "9"], cli, "convert", _CAP_REFUSAL),
+], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "tables"])
+def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
+                                           message):
+    def no_work(*args):
+        raise AssertionError(f"{step} must not run")
+
+    monkeypatch.setattr(owner, step, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_eulerian_refuses_a_count_it_could_not_print(capsys, monkeypatch):
+    def no_recurrence(n, r):
+        raise AssertionError("the descent recurrence must not start")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(stirling, "_descent_tally", no_recurrence)
+        code, out, err = run(capsys, "eulerian", "--n", "2000", "--r", "2")
+        assert (code, out) == (2, "")
+        assert (f"has more than {sys.get_int_max_str_digits()} digits, the limit of "
+                "integer string conversion (sys.get_int_max_str_digits())") in err
+    # |Q(2, 2)| = 3 has exactly as many digits as a limit of 1 allows
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 1)
+    assert run(capsys, "eulerian", "--n", "2", "--r", "2") == (0, "t + 2*t^2\n", "")
+    code, out, err = run(capsys, "eulerian", "--n", "3", "--r", "2")
+    assert (code, out) == (2, "")
+    assert "|Q(3,2)| has more than 1 digits" in err
 
 
 def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from stirlingsym import cli, stirling
+from stirlingsym.partitions import chain_type
 from stirlingsym.stirling import (
     StirlingPerm,
     ascending_adjacent_type,
@@ -237,6 +238,45 @@ def test_recurrences_match_enumeration(n, r, kind, j):
     assert stirling_symfunc(n, r, kind, j) == SymFunc("e", types)
     descents = _tally(stats(sp)["des"] for sp in words)
     assert eulerian_polynomial(n, r) == TPoly(descents)
+
+
+def _ascending_adjacent_oracle(sp):
+    """Oracle: a -> b when a < b and B(b) starts right after B(a) ends."""
+    first, last = {}, {}
+    for i, x in enumerate(sp.word):
+        first.setdefault(x, i)
+        last[x] = i
+    starts = {i: a for a, i in first.items()}
+    succ = {}
+    for a in range(1, sp.n + 1):
+        b = starts.get(last[a] + 1)
+        if b is not None and a < b:
+            succ[a] = b
+    return chain_type(succ, range(1, sp.n + 1))
+
+
+def _terminally_nested_oracle(sp, j):
+    """Oracle: a -> the last letter of the j-th gap of B(a), when nonempty."""
+    positions = {a: [] for a in range(1, sp.n + 1)}
+    for i, x in enumerate(sp.word):
+        positions[x].append(i)
+    succ = {}
+    for a, pos in positions.items():
+        if pos[j] - pos[j - 1] > 1:
+            succ[a] = sp.word[pos[j] - 1]
+    return chain_type(succ, range(1, sp.n + 1))
+
+
+@pytest.mark.parametrize("n,r", SIZE_CASES)
+def test_types_match_the_reversal_definitions(n, r):
+    # the reversal route: DA and IN_j are AA and TN_(r-j) of the reversed word
+    for sp in _oracle_words(n, r):
+        rev = reverse(sp)
+        assert type_of(sp, "AA") == _ascending_adjacent_oracle(sp), sp.word
+        assert type_of(sp, "DA") == _ascending_adjacent_oracle(rev), sp.word
+        for j in range(1, r):
+            assert type_of(sp, "TN", j) == _terminally_nested_oracle(sp, j), sp.word
+            assert type_of(sp, "IN", j) == _terminally_nested_oracle(rev, r - j), sp.word
 
 
 def test_bad_kind_is_rejected():
