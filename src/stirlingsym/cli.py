@@ -10,25 +10,20 @@ deterministic.
 
 Comma-list values may start with a minus sign in either form:
 ``--coeffs -1,2,3`` reads like ``--coeffs=-1,2,3``.
+
+Each verb imports the layers it runs when it runs, so building the parser
+loads no layer and ``eulerian`` or ``expand --basis e`` loads only
+``stirling``, ``symfunc`` and ``partitions``; only the standard-library
+modules that every verb needs are imported here.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import re
 import sys
-from pathlib import Path
-
-from .identities import invert_egf_numeric, registry
-from .moduli import wp_volume
-from .partitions import check_partition, parse_rational, rational_str
-from .posets import interval
-from .stirling import enumerate_stirling, eulerian_polynomial, stirling_symfunc
-from .symfunc import DEFAULT_DEGREE_CAP, _check_cap, convert, render_symfunc
-from .trees import enumerate_normalized, render_tree, tree_to_json
 
 
 #: Exit status when stdout's reader goes away: 128 + SIGPIPE, as a shell
@@ -132,6 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_expand(args) -> int:
+    from .stirling import stirling_symfunc
+    from .symfunc import convert, render_symfunc
+
     f = stirling_symfunc(args.n, args.r, args.kind, args.j)
     g = convert(f, args.basis)
     if args.format == "json":
@@ -145,12 +143,16 @@ def _cmd_expand(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.what == "stirling":
+        from .stirling import enumerate_stirling
+
         for sp in enumerate_stirling(args.n, args.r):
             if args.format == "json":
                 print(json.dumps(sp.to_json()))
             else:
                 print(sp)
     else:
+        from .trees import enumerate_normalized, render_tree, tree_to_json
+
         for t in enumerate_normalized(args.n):
             if args.format == "json":
                 print(json.dumps(tree_to_json(t)))
@@ -172,6 +174,8 @@ def _cmd_eulerian(args) -> int:
                 raise ValueError(
                     f"|Q({args.n},{args.r})| has more than {limit} digits, the "
                     "limit of integer string conversion (sys.get_int_max_str_digits())")
+    from .stirling import eulerian_polynomial
+
     poly = eulerian_polynomial(args.n, args.r)
     if args.format == "json":
         print(json.dumps(poly.to_json()))
@@ -184,14 +188,19 @@ def _call_check(name, fn, args):
     """Run one check with the size options it takes.
 
     ``--order`` stands in for ``n`` when the check takes ``n`` and no
-    ``--n`` is given.  Any other option the check does not take is refused.
+    ``--n`` is given.  Any other option the check does not take is refused,
+    and so is a negative size, before the check runs.
     """
+    import inspect
+
     accepted = inspect.signature(fn).parameters
     kwargs = {}
     for option in _SIZE_OPTIONS:
         value = getattr(args, option)
         if value is None:
             continue
+        if value < 0:
+            raise ValueError(f"--{option} must be nonnegative, got {value}")
         if option in accepted:
             kwargs[option] = value
         elif option == "order" and "n" in accepted and args.n is None:
@@ -206,6 +215,8 @@ def _call_check(name, fn, args):
 
 
 def _cmd_verify(args) -> int:
+    from .identities import registry
+
     checks = registry()
     as_json = args.json or args.format == "json"
     if args.identity == "all":
@@ -232,6 +243,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from .identities import invert_egf_numeric
+    from .partitions import parse_rational, rational_str
+
     coeffs = [parse_rational(x) for x in args.coeffs.split(",")]
     order = args.order if args.order is not None else len(coeffs) - 1
     result = invert_egf_numeric(args.kind, coeffs, order)
@@ -244,6 +258,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_wp(args) -> int:
+    from .moduli import wp_volume
+    from .partitions import check_partition, rational_str
+
     lam = check_partition(_parse_ints(args.lam))
     value = wp_volume(lam)
     if args.format == "json":
@@ -254,6 +271,9 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
+    from .partitions import rational_str, sort_to_partition
+    from .posets import _signed_type_coefficient, interval
+
     mu = _parse_ints(args.mu)
     iv = interval(args.poset, args.n, mu)
     value = iv.mobius_invariant()
@@ -264,9 +284,6 @@ def _cmd_mobius(args) -> int:
         else:
             print(value)
         return 0
-    from .posets import _signed_type_coefficient
-    from .partitions import sort_to_partition
-
     predicted = _signed_type_coefficient(args.poset, args.n, sort_to_partition(mu))
     ok = predicted == value
     if args.format == "json":
@@ -281,6 +298,9 @@ def _cmd_mobius(args) -> int:
 
 def expansion_table(r: int, nmax: int = 6) -> str:
     """Canonical text dump of the type-sum expansions in all five bases."""
+    from .stirling import stirling_symfunc
+    from .symfunc import convert, render_symfunc
+
     lines = [f"type-sum expansions for r={r}, n=0..{nmax}"]
     for n in range(nmax + 1):
         f = stirling_symfunc(n, r)
@@ -291,6 +311,10 @@ def expansion_table(r: int, nmax: int = 6) -> str:
 
 
 def _cmd_tables(args) -> int:
+    from pathlib import Path
+
+    from .symfunc import DEFAULT_DEGREE_CAP, _check_cap
+
     if args.nmax < 0:
         raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
     _check_cap(args.nmax, DEFAULT_DEGREE_CAP)

@@ -495,6 +495,8 @@ def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
     the direct triangular inversions.
     """
     f = [Fraction(x) for x in f]
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if len(f) < order + 1:
         raise ValueError("need coefficients up to the requested order")
     if kind == "mult":
@@ -507,7 +509,7 @@ def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
             for n in range(order + 1)
         ]
     if kind == "comp":
-        if f[0] != 0 or f[1] == 0:
+        if len(f) < 2 or f[0] != 0 or f[1] == 0:
             raise ValueError("compositional inverse needs f_0 = 0 and f_1 != 0")
         check_type_sum_limit(order - 1)
         values = {i: f[i + 1] / f[1] for i in range(1, order)}

@@ -173,4 +173,7 @@ def rational_str(q: Fraction | int) -> str:
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" (also accepts a denominator of 1, e.g. "4/1")."""
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None

@@ -239,16 +239,19 @@ class TruncatedSeries:
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse by Lagrange inversion.
 
-        Requires a zero constant term and a unit linear coefficient.  Write
-        self = y q(y) and h = 1/q; the inverse g has [y^n] g = [y^(n-1)] h^n / n
-        (Brent and Kung, "Fast algorithms for manipulating formal power
-        series", JACM 1978).  That is one multiplicative inverse and N
-        truncated products, O(N^3) ring products in all.  h is taken at order
-        N-1, never N: over the symmetric functions its y^k coefficient can
-        have degree k, and a degree-N coefficient could exceed the ring's
-        cap although every coefficient of g stays within it.
+        Requires order at least 1, a zero constant term and a unit linear
+        coefficient.  Write self = y q(y) and h = 1/q; the inverse g has
+        [y^n] g = [y^(n-1)] h^n / n (Brent and Kung, "Fast algorithms for
+        manipulating formal power series", JACM 1978).  That is one
+        multiplicative inverse and N truncated products, O(N^3) ring products
+        in all.  h is taken at order N-1, never N: over the symmetric
+        functions its y^k coefficient can have degree k, and a degree-N
+        coefficient could exceed the ring's cap although every coefficient
+        of g stays within it.
         """
         ring = self.ring
+        if self.order < 1:
+            raise ValueError("order must be at least 1")
         if not ring.is_zero(self.coeffs[0]):
             raise ValueError("compositional inverse needs zero constant term")
         if not ring.is_unit(self.coeffs[1]):

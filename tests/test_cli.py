@@ -103,7 +103,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     failing = VerificationReport(
         "fake", {"order": 1}, False, {"location": "y^0", "lhs": "0", "rhs": "1"}
     )
-    monkeypatch.setattr(cli, "registry", lambda: {"fake": lambda: failing})
+    monkeypatch.setattr(identities, "registry", lambda: {"fake": lambda: failing})
     code, out, _ = run(capsys, "verify", "--identity", "fake")
     assert code == 1
     assert "FAIL" in out
@@ -214,7 +214,7 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
      "_type_tally", _TYPE_SUM_REFUSAL),
     (["verify", "--identity", "forbidden", "--order", "10"], identities, "convert",
      _CAP_REFUSAL),
-    (["tables", "--nmax", "9"], cli, "convert", _CAP_REFUSAL),
+    (["tables", "--nmax", "9"], symfunc, "convert", _CAP_REFUSAL),
 ], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "tables"])
 def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
                                            message):
@@ -313,6 +313,19 @@ def test_verify_refuses_a_size_option_the_check_does_not_take(capsys, argv, mess
     assert err == f"error: identity {message}\n"
 
 
+@pytest.mark.parametrize("identity", ["prop12", "thm14", "thm17", "inversion"])
+def test_verify_refuses_order_zero_where_a_series_is_inverted(capsys, identity):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--order", "0")
+    assert (code, out, err) == (2, "", "error: order must be at least 1\n")
+
+
+@pytest.mark.parametrize("identity",
+                         ["htoe", "lemma52", "treeperm", "thm62", "thm64", "thm65"])
+def test_verify_refuses_a_negative_size_before_the_check_runs(capsys, identity):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--n", "-1")
+    assert (code, out, err) == (2, "", "error: --n must be nonnegative, got -1\n")
+
+
 def test_verify_keeps_the_order_fallback_and_the_battery_refuses_size_options(
         capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--identity", "htoe", "--order", "3")
@@ -322,7 +335,7 @@ def test_verify_keeps_the_order_fallback_and_the_battery_refuses_size_options(
     def refuse(**kwargs):
         raise AssertionError("no check may run")
 
-    monkeypatch.setattr(cli, "registry", lambda: {"a": refuse, "b": refuse})
+    monkeypatch.setattr(identities, "registry", lambda: {"a": refuse, "b": refuse})
     for option in ("--order", "--n", "--r"):
         code, out, err = run(capsys, "verify", "--identity", "all", option, "5")
         assert (code, out) == (2, "")
@@ -363,6 +376,14 @@ def test_invert(capsys):
     assert json.loads(out) == ["0", "1", "-1", "2", "-6"]
     code, _, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "0,1")
     assert code == 2
+    code, out, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "1/0")
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+    code, out, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "1,1",
+                         "--order", "-1")
+    assert (code, out, err) == (2, "", "error: order must be nonnegative\n")
+    code, out, err = run(capsys, "invert", "--kind", "comp", "--coeffs", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: compositional inverse needs f_0 = 0 and f_1 != 0\n"
 
 
 def test_list_values_may_start_with_a_minus_sign(capsys):

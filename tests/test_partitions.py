@@ -173,3 +173,5 @@ def test_rational_rendering_convention():
     assert rational_str(Fraction(4)) == "4"
     assert rational_str(Fraction(-5, 2)) == "-5/2"
     assert parse_rational("4/1") == 4
+    with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+        parse_rational(" 3/0")

@@ -276,6 +276,10 @@ def test_inverse_preconditions():
         )
     with pytest.raises(ValueError):
         TruncatedSeries.one(QQ, "ogf", 3).comp_inverse()
+    # at order 0 there is no linear coefficient to invert
+    for f in (TruncatedSeries.identity(QQ, "ogf", 0), TruncatedSeries.one(QQ, "egf", 0)):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            f.comp_inverse()
     # over Lambda, a non-constant leading coefficient is not a unit
     ring = SymFuncRing(basis="e")
     f = TruncatedSeries.from_coefficients(ring, "ogf", 3, [basis_element("e", (1,))])
