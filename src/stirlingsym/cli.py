@@ -128,8 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_expand(args) -> int:
     from .stirling import stirling_symfunc
-    from .symfunc import convert, render_symfunc
+    from .symfunc import DEFAULT_DEGREE_CAP, _check_cap, convert, render_symfunc
 
+    if args.basis != "e":
+        # F(n, r) has degree n, and only basis e converts nothing
+        _check_cap(args.n, DEFAULT_DEGREE_CAP)
     f = stirling_symfunc(args.n, args.r, args.kind, args.j)
     g = convert(f, args.basis)
     if args.format == "json":
@@ -273,8 +276,12 @@ def _cmd_wp(args) -> int:
 def _cmd_mobius(args) -> int:
     from .partitions import rational_str, sort_to_partition
     from .posets import _signed_type_coefficient, interval
+    from .symfunc import DEFAULT_DEGREE_CAP, _check_cap
 
     mu = _parse_ints(args.mu)
+    if args.verify:
+        # the predicted coefficient converts a type sum of degree n-1 (pi) or n (b)
+        _check_cap(args.n - 1 if args.poset == "pi" else args.n, DEFAULT_DEGREE_CAP)
     iv = interval(args.poset, args.n, mu)
     value = iv.mobius_invariant()
     if not args.verify:

@@ -22,23 +22,18 @@ representative per shape plus a rearrangement-invariance probe.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
-from .partitions import (
-    partitions_of,
-    trim,
-    weak_compositions,
-    wcomp_add,
-    wcomp_leq,
-)
+from .partitions import partitions_of, trim, weak_compositions, wcomp_add, wcomp_leq
 from .report import VerificationReport, first_mismatch
 from .stirling import stirling_symfunc
 from .symfunc import convert
 
-#: Largest interval that ``interval`` materializes.  Building and validating
-#: the order costs O(size^2) comparisons: the largest interval accepted,
-#: "pi" at n=6 below (2, 2, 1) with 1,760 elements, takes about 19 s, and
-#: "pi" at n=6 below (2, 1, 1, 1), with 2,866, about 41 s.
+#: Largest interval that ``interval`` materializes.  Its order, one down-set
+#: bitset per element, is built one pair of set-partition (or subset) groups
+#: at a time: each interval accepted is ordered, validated and inverted in at
+#: most about 1.1 s, and "pi" at n=6 below (1, 1, 1, 1, 1), 4,657 elements,
+#: would take about 3 s (2-vCPU Xeon VM, Python 3.11).
 INTERVAL_MAX_ELEMENTS = 2_000
 
 
@@ -58,57 +53,86 @@ def set_partitions(ground):
 
 
 class Interval:
-    """Explicit finite interval: elements plus the full order relation."""
+    """Explicit finite interval: its elements and, for each element j, the
+    bitset ``down[j]`` of the indices of the elements below it, j included;
+    the order is validated on construction.  "pi" at n=6 below (2, 2, 1),
+    1,760 elements, is ordered and validated in about 0.6 s."""
 
-    def __init__(self, kind: str, n: int, mu, elements, leq_fn):
-        self.kind = kind
-        self.n = n
-        self.mu = trim(mu)
+    def __init__(self, elements, down):
         self.elements = list(elements)
-        size = len(self.elements)
-        self.leq = [
-            [leq_fn(self.elements[i], self.elements[j]) for j in range(size)]
-            for i in range(size)
-        ]
+        self.down = list(down)
         self._validate()
 
     def _validate(self) -> None:
-        size = len(self.elements)
-        below = [
-            frozenset(i for i in range(size) if self.leq[i][j]) for j in range(size)
-        ]
-        for i in range(size):
-            if not self.leq[i][i]:
+        down = self.down
+        for j, below in enumerate(down):
+            if not below >> j & 1:
                 raise AssertionError("order is not reflexive")
-            for j in range(size):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+            for i in _bits(below ^ 1 << j):
+                if down[i] >> j & 1:
                     raise AssertionError("order is not antisymmetric")
-                if self.leq[i][j] and not below[i] <= below[j]:
+                if down[i] & ~below:
                     raise AssertionError("order is not transitive")
-        bottoms = [j for j in range(size) if below[j] == frozenset({j})]
-        tops = [i for i in range(size) if all(self.leq[j][i] for j in range(size))]
+        everything = (1 << len(down)) - 1
+        bottoms = [j for j, below in enumerate(down) if below == 1 << j]
+        tops = [j for j, below in enumerate(down) if below == everything]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("interval lacks a unique bottom or top")
         self.bottom = bottoms[0]
         self.top = tops[0]
 
     def mobius_invariant(self) -> int:
-        """mu(bottom, top) by the standard alternating recursion.
-
-        Also asserts the defining property: the Mobius values over any
-        nontrivial interval sum to zero.
-        """
-        size = len(self.elements)
-        order = sorted(range(size), key=lambda j: sum(self.leq[i][j] for i in range(size)))
-        value = [0] * size
-        for j in order:
-            if j == self.bottom:
-                value[j] = 1
-            else:
-                value[j] = -sum(value[i] for i in range(size) if self.leq[i][j] and i != j)
-        if size > 1 and sum(value) != 0:
+        """mu(bottom, top) by the standard alternating recursion; asserts that
+        the Mobius values over a nontrivial interval sum to zero."""
+        down = self.down
+        value = [0] * len(down)
+        # an element strictly below j has a smaller down-set
+        for j in sorted(range(len(down)), key=lambda j: down[j].bit_count()):
+            value[j] = 1 if j == self.bottom else -sum(
+                value[i] for i in _bits(down[j] ^ 1 << j))
+        if len(down) > 1 and sum(value) != 0:
             raise AssertionError("Mobius values do not sum to zero")
         return value[self.top]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _down_sets(elements) -> list:
+    """The down-set bitset of each element, an element being a tuple of
+    (block, weight) pairs: x <= y when every block of x lies inside one block
+    of y and, for each block of y, the weights of the x-blocks inside it sum
+    componentwise to at most its weight.  Elements come grouped by blocks, so
+    containment is decided once per pair of groups."""
+    groups, start = [], 0
+    for blocks, members in groupby(elements, key=lambda e: tuple(b for b, _ in e)):
+        weights = [tuple(w for _, w in e) for e in members]
+        masks = [sum(1 << v for v in block) for block in blocks]
+        groups.append((masks, start, weights))
+        start += len(weights)
+    down = [0] * start
+    for ymasks, ystart, yweights in groups:
+        for xmasks, xstart, xweights in groups:
+            if sum(xmasks) & ~sum(ymasks):  # x covers a point y does not
+                continue
+            # the block of y that holds each block of x, if every one has one
+            home = [next((k for k, y in enumerate(ymasks) if not x & ~y), None)
+                    for x in xmasks]
+            if None in home:
+                continue
+            for i, xw in enumerate(xweights, xstart):
+                total = [()] * len(ymasks)
+                for k, w in zip(home, xw):
+                    total[k] = wcomp_add(total[k], w)
+                for j, yw in enumerate(yweights, ystart):
+                    if all(map(wcomp_leq, total, yw)):
+                        down[j] |= 1 << i
+    return down
 
 
 def _partition_elements(n: int, mu):
@@ -138,21 +162,6 @@ def _partition_elements(n: int, mu):
         yield from assign(0, (), ())
 
 
-def _partition_leq(x, y) -> bool:
-    """Refinement plus blockwise componentwise weight domination."""
-    locate = {}
-    for j, (block, _) in enumerate(y):
-        for v in block:
-            locate[v] = j
-    sums = [()] * len(y)
-    for block, weight in x:
-        j = locate[block[0]]
-        if any(locate[v] != j for v in block[1:]):
-            return False
-        sums[j] = wcomp_add(sums[j], weight)
-    return all(wcomp_leq(s, w) for s, (_, w) in zip(sums, y))
-
-
 def _subset_elements(n: int, mu):
     if sum(mu) != n:
         raise ValueError(f"top weight must have size n = {n}, got {mu}")
@@ -163,10 +172,6 @@ def _subset_elements(n: int, mu):
             for nu in weak_compositions(size, width):
                 if wcomp_leq(nu, mu):
                     yield (subset, trim(nu))
-
-
-def _subset_leq(x, y) -> bool:
-    return set(x[0]) <= set(y[0]) and wcomp_leq(x[1], y[1])
 
 
 def _listed(kind: str, n: int, mu):
@@ -191,14 +196,12 @@ def interval(kind: str, n: int, mu) -> Interval:
     negative = [x for x in mu if x < 0]
     if negative:
         raise ValueError(f"mu={tuple(mu)} has a negative part {negative[0]}")
-    if kind == "pi":
-        leq = _partition_leq
-    elif kind == "b":
-        leq = _subset_leq
-    else:
+    if kind not in ("pi", "b"):
         raise ValueError("kind must be 'pi' or 'b'")
-    mu = trim(mu)
-    return Interval(kind, n, mu, _listed(kind, n, mu), leq)
+    elements = list(_listed(kind, n, trim(mu)))
+    # a weighted subset orders as a weighted partition of one block
+    blocked = elements if kind == "pi" else [(e,) for e in elements]
+    return Interval(elements, _down_sets(blocked))
 
 
 def mobius_invariant(kind: str, n: int, mu) -> int:
@@ -207,13 +210,8 @@ def mobius_invariant(kind: str, n: int, mu) -> int:
 
 def _signed_type_coefficient(kind: str, n: int, shape) -> Fraction:
     """The coefficient of x^mu predicted by the signed type-sum functions."""
-    if kind == "pi":
-        f = convert(stirling_symfunc(n - 1, 2), "m")
-        sign = (-1) ** (n - 1)
-    else:
-        f = convert(stirling_symfunc(n, 1), "m")
-        sign = (-1) ** n
-    return sign * f.coefficient(shape)
+    degree, r = (n - 1, 2) if kind == "pi" else (n, 1)
+    return (-1) ** degree * convert(stirling_symfunc(degree, r), "m").coefficient(shape)
 
 
 def _check_poset(identity: str, kind: str, nmax: int) -> VerificationReport:

@@ -175,17 +175,17 @@ def test_drake_refuses_large_order_before_any_work(capsys, monkeypatch):
     assert check_drake(6).passed
 
 
-@pytest.mark.parametrize("poset, n, mu, leq", [
-    ("pi", "6", "1,1,1,1,1", "_partition_leq"),
-    ("pi", "8", "7", "_partition_leq"),
-    ("b", "12", "6,6", "_subset_leq"),
+@pytest.mark.parametrize("poset, n, mu", [
+    ("pi", "6", "1,1,1,1,1"),
+    ("pi", "8", "7"),
+    ("b", "12", "6,6"),
 ])
 def test_mobius_refuses_a_large_interval_before_building_its_order(
-        capsys, monkeypatch, poset, n, mu, leq):
-    def no_order(x, y):
+        capsys, monkeypatch, poset, n, mu):
+    def no_order(elements):
         raise AssertionError("the order must not be built")
 
-    monkeypatch.setattr(posets, leq, no_order)
+    monkeypatch.setattr(posets, "_down_sets", no_order)
     code, out, err = run(capsys, "mobius", "--poset", poset, "--n", n, "--mu", mu)
     assert (code, out) == (2, "")
     assert (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
@@ -194,14 +194,15 @@ def test_mobius_refuses_a_large_interval_before_building_its_order(
 
 _TYPE_SUM_REFUSAL = f"n=31 exceeds the type-sum limit {stirling.TYPE_SUM_MAX_N}"
 _CAP_REFUSAL = "degree 9 exceeds the cap 8; pass a larger cap explicitly"
+_EXPAND_CAP_REFUSAL = "degree 30 exceeds the cap 8; pass a larger cap explicitly"
 _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
                      "interval limit (posets.INTERVAL_MAX_ELEMENTS)")
 
 
 @pytest.mark.parametrize("argv, owner, step, message", [
-    (["verify", "--identity", "thm62", "--n", "6"], posets, "_partition_leq",
+    (["verify", "--identity", "thm62", "--n", "6"], posets, "_down_sets",
      _INTERVAL_REFUSAL),
-    (["verify", "--identity", "thm64", "--n", "9"], posets, "_subset_leq",
+    (["verify", "--identity", "thm64", "--n", "9"], posets, "_down_sets",
      _INTERVAL_REFUSAL),
     (["verify", "--identity", "riordan", "--order", "31"], TruncatedSeries, "inv",
      _TYPE_SUM_REFUSAL),
@@ -215,7 +216,13 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
     (["verify", "--identity", "forbidden", "--order", "10"], identities, "convert",
      _CAP_REFUSAL),
     (["tables", "--nmax", "9"], symfunc, "convert", _CAP_REFUSAL),
-], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "tables"])
+    # the interval below (6, 3) is accepted; its type sum has degree 9
+    (["mobius", "--poset", "b", "--n", "9", "--mu", "6,3", "--verify"], posets,
+     "_down_sets", _CAP_REFUSAL),
+    (["expand", "--n", "30", "--r", "2", "--basis", "m"], stirling, "_type_tally",
+     _EXPAND_CAP_REFUSAL),
+], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "tables",
+        "mobius-verify", "expand"])
 def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
                                            message):
     def no_work(*args):

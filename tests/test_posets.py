@@ -3,7 +3,13 @@ import itertools
 import pytest
 
 from stirlingsym import posets
-from stirlingsym.partitions import partitions_of, trim, wcomp_leq, weak_compositions
+from stirlingsym.partitions import (
+    partitions_of,
+    trim,
+    wcomp_add,
+    wcomp_leq,
+    weak_compositions,
+)
 from stirlingsym.posets import (
     Interval,
     check_thm62,
@@ -35,12 +41,32 @@ def test_trivial_intervals():
     assert iv.mobius_invariant() == -1
 
 
+def _partition_leq(x, y):
+    """Oracle order on weighted partitions: refinement plus blockwise
+    componentwise weight domination, decided for one pair."""
+    locate = {}
+    for j, (block, _) in enumerate(y):
+        for v in block:
+            locate[v] = j
+    sums = [()] * len(y)
+    for block, weight in x:
+        j = locate[block[0]]
+        if any(locate[v] != j for v in block[1:]):
+            return False
+        sums[j] = wcomp_add(sums[j], weight)
+    return all(wcomp_leq(s, w) for s, (_, w) in zip(sums, y))
+
+
+def _subset_leq(x, y):
+    """Oracle order on weighted subsets: containment and componentwise."""
+    return set(x[0]) <= set(y[0]) and wcomp_leq(x[1], y[1])
+
+
 def brute_force_partition_interval(n, mu):
     """Oracle: every weighted partition of [n], filtered by <= top."""
     mu = trim(mu)
     width = max(1, len(mu))
     top = ((tuple(range(1, n + 1)), mu),)
-    from stirlingsym.posets import _partition_leq
 
     out = []
     for blocks in set_partitions(range(1, n + 1)):
@@ -100,16 +126,40 @@ def test_rank_mismatch_rejected():
         interval("nope", 3, (2,))
 
 
+def test_down_sets_match_the_pairwise_order():
+    # every shape for pi at n <= 5 and b at n <= 4, sorted, reversed and with
+    # a leading zero
+    tops = set()
+    for kind, ns in (("pi", range(1, 6)), ("b", range(1, 5))):
+        for n in ns:
+            for lam in partitions_of(n - 1 if kind == "pi" else n):
+                tops |= {(kind, n, mu) for mu in (lam, lam[::-1], (0,) + lam)}
+    assert len(tops) == 52
+    for kind, n, mu in sorted(tops):
+        iv = interval(kind, n, mu)
+        leq = _partition_leq if kind == "pi" else _subset_leq
+        expected = [sum(1 << i for i, x in enumerate(iv.elements) if leq(x, y))
+                    for y in iv.elements]
+        assert iv.down == expected, (kind, n, mu)
+
+
 def test_order_validation_rejects_non_orders():
-    with pytest.raises(AssertionError):
-        Interval("pi", 0, (), [0, 1], lambda a, b: True)  # not antisymmetric
-
-    def broken(a, b):
-        # 0<=1, 1<=2 but not 0<=2: transitivity fails
-        return (a, b) in {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}
-
-    with pytest.raises(AssertionError):
-        Interval("pi", 0, (), [0, 1, 2], broken)
+    for down, error, message in [
+        ([0b10, 0b11], AssertionError, "not reflexive"),
+        ([0b11, 0b11], AssertionError, "not antisymmetric"),
+        # 0 <= 1 and 1 <= 2 but not 0 <= 2
+        ([0b001, 0b011, 0b110], AssertionError, "not transitive"),
+        # two minimal elements below one top, two maximal above one bottom
+        ([0b001, 0b010, 0b111], ValueError, "unique bottom or top"),
+        ([0b001, 0b011, 0b101], ValueError, "unique bottom or top"),
+    ]:
+        with pytest.raises(error, match=message):
+            Interval(range(len(down)), down)
+    # an antichain passed off as an interval, its validation skipped
+    unchecked = Interval.__new__(Interval)
+    unchecked.down, unchecked.bottom, unchecked.top = [0b01, 0b10], 0, 1
+    with pytest.raises(AssertionError, match="do not sum to zero"):
+        unchecked.mobius_invariant()
 
 
 def test_mobius_values_sum_to_zero():
