@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("invert", help="invert an EGF through the h-expansions")
@@ -221,7 +220,6 @@ def _cmd_verify(args) -> int:
     from .identities import registry
 
     checks = registry()
-    as_json = args.json or args.format == "json"
     if args.identity == "all":
         given = [f"--{option}" for option in _SIZE_OPTIONS
                  if getattr(args, option) is not None]
@@ -236,7 +234,7 @@ def _cmd_verify(args) -> int:
         print(f"unknown identity {args.identity!r}; known: {known}, all", file=sys.stderr)
         return 2
     reports = [_call_check(name, checks[name], args) for name in names]
-    if as_json:
+    if args.format == "json":
         payload = [r.to_json() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=None))
     else:

@@ -88,9 +88,9 @@ def _shifted_h_ogf(order: int) -> TruncatedSeries:
 def noncrossing_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All noncrossing set partitions of [n] (Catalan many).
 
-    Built by first-block decomposition: the block containing the minimum
-    splits the rest into gaps between its consecutive elements, and no later
-    block may straddle a gap boundary.
+    Recursion on the next block-mate of the minimum: it stands alone, or it
+    joins the block of ground[j], and ground[1:j] is partitioned on its own
+    inside that arc.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -99,30 +99,13 @@ def noncrossing_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if not ground:
             yield ()
             return
-        first, rest = ground[0], ground[1:]
-        for size in range(len(rest) + 1):
-            for others in combinations(rest, size):
-                blockfull = (first,) + others
-                cuts = [*others, None]
-                gaps = []
-                start = 0
-                for cut in cuts:
-                    gap = []
-                    while start < len(rest) and (cut is None or rest[start] < cut):
-                        if rest[start] not in others:
-                            gap.append(rest[start])
-                        start += 1
-                    gaps.append(tuple(gap))
-                pieces = [list(build(gap)) for gap in gaps]
-
-                def assemble(i: int, acc):
-                    if i == len(pieces):
-                        yield (blockfull,) + acc
-                        return
-                    for sub in pieces[i]:
-                        yield from assemble(i + 1, acc + sub)
-
-                yield from assemble(0, ())
+        first = ground[0]
+        for rest in build(ground[1:]):
+            yield ((first,),) + rest
+        for j in range(1, len(ground)):
+            for inside in build(ground[1:j]):
+                for outside in build(ground[j:]):
+                    yield ((first,) + outside[0],) + inside + outside[1:]
 
     return [tuple(sorted(p)) for p in build(tuple(range(1, n + 1)))]
 
@@ -167,6 +150,9 @@ def check_prop11(order: int = 6) -> VerificationReport:
 def check_prop12(order: int = 6) -> VerificationReport:
     """OGF: the compositional inverse of the shifted alternating h series is
     the series of noncrossing-partition e-sums."""
+    # convert meets the cap at e-sum order - 1 only after building the
+    # matrices of every smaller degree
+    _check_cap(order - 1, DEFAULT_DEGREE_CAP)
 
     def cases():
         for k in range(8):
@@ -396,7 +382,7 @@ def check_tree_permutation(n: int = 7) -> VerificationReport:
     adjacent type multiset over Q(k-1, 2); Comb matches the terminally nested
     types; and the tree count is (2k-3)!!.
     """
-    check_word_budget(max(n - 1, 0), 2)
+    check_typing_budget(max(n - 1, 0), 2)
 
     def cases():
         for k in range(1, n + 1):
@@ -417,12 +403,9 @@ def check_tree_permutation(n: int = 7) -> VerificationReport:
 
 
 def _bounded_weak_compositions(total_max: int, width: int):
-    seen = set()
-    for total in range(total_max + 1):
-        for k in range(1, width + 1):
-            for mu in weak_compositions(total, k):
-                seen.add(trim(mu))
-    return sorted(seen)
+    # trimming the compositions into width slots yields every shorter support
+    return sorted({trim(mu) for total in range(total_max + 1)
+                   for mu in weak_compositions(total, max(width, 1))})
 
 
 def check_equicardinality(weight: int = 4) -> VerificationReport:

@@ -116,14 +116,6 @@ class TruncatedSeries:
         return cls.from_coefficients(ring, "egf", order, plain)
 
     @classmethod
-    def from_function(cls, ring, flavor, order, fn) -> "TruncatedSeries":
-        """Coefficients from fn(n); semantic (of y^n/n!) when flavor is egf."""
-        values = [fn(n) for n in range(order + 1)]
-        if flavor == "egf":
-            return cls.from_egf_coefficients(ring, order, values)
-        return cls(ring, flavor, order, values)
-
-    @classmethod
     def one(cls, ring, flavor, order) -> "TruncatedSeries":
         return cls.from_coefficients(ring, flavor, order, [ring.one()])
 

@@ -278,26 +278,6 @@ def type_of(sp: StirlingPerm, kind: str = "AA", j: int = 1) -> Partition:
     return chain_type(links, range(1, sp.n + 1))
 
 
-def ascending_adjacent_type(sp: StirlingPerm) -> Partition:
-    """Chain a -> b whenever a < b and B(b) starts right after B(a) ends."""
-    return type_of(sp, "AA")
-
-
-def descending_adjacent_type(sp: StirlingPerm) -> Partition:
-    """Chain a -> b whenever a < b and B(b) ends right before B(a) starts."""
-    return type_of(sp, "DA")
-
-
-def terminally_nested_type(sp: StirlingPerm, j: int) -> Partition:
-    """Chain a -> last letter of the j-th gap segment of B(a), when nonempty."""
-    return type_of(sp, "TN", j)
-
-
-def initially_nested_type(sp: StirlingPerm, j: int) -> Partition:
-    """Chain a -> first letter of the j-th gap segment of B(a), when nonempty."""
-    return type_of(sp, "IN", j)
-
-
 def _validate_kind(kind: str, j: int, r: int) -> None:
     if kind not in TYPE_KINDS:
         raise ValueError(f"unknown type kind {kind!r}")

@@ -170,10 +170,6 @@ def is_lyndon_node(node) -> bool:
     return valency(left[1]) > valency(right)
 
 
-def is_lyndon_tree(t) -> bool:
-    return is_normalized(t) and all(rec.chain_node for rec in analyze(t))
-
-
 def tree_type(t, kind: str) -> Partition:
     """Chain sizes of the kind's coloring constraints, largest first."""
     info = analyze(t)

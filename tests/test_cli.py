@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stirlingsym import cli, identities, posets, stirling, symfunc, trees
+from stirlingsym import cli, identities, moduli, posets, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
 from stirlingsym.report import VerificationReport
 from stirlingsym.series import TruncatedSeries
@@ -75,7 +75,7 @@ def test_enumerate_trees(capsys):
 
 def test_verify_single(capsys):
     code, out, _ = run(
-        capsys, "verify", "--identity", "thm13", "--order", "4", "--json"
+        capsys, "verify", "--identity", "thm13", "--order", "4", "--format", "json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -215,14 +215,22 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
      "_type_tally", _TYPE_SUM_REFUSAL),
     (["verify", "--identity", "forbidden", "--order", "10"], identities, "convert",
      _CAP_REFUSAL),
+    (["verify", "--identity", "prop12", "--order", "10"], identities, "convert",
+     _CAP_REFUSAL),
+    (["verify", "--identity", "thm65", "--n", "9"], moduli, "convert", _CAP_REFUSAL),
+    # Q(8, 2) fits the word limit, but typing it and the trees of [9] does not
+    (["verify", "--identity", "treeperm", "--n", "9"], identities, "enumerate_normalized",
+     f"over the typing limit {stirling.TYPING_MAX_WORK}"),
+    (["wp", "--lambda", ",".join(["1"] * (moduli.WP_MAX_N + 1))], moduli,
+     "_box_polynomial", f"exceeds the volume limit {moduli.WP_MAX_N} (moduli.WP_MAX_N)"),
     (["tables", "--nmax", "9"], symfunc, "convert", _CAP_REFUSAL),
     # the interval below (6, 3) is accepted; its type sum has degree 9
     (["mobius", "--poset", "b", "--n", "9", "--mu", "6,3", "--verify"], posets,
      "_down_sets", _CAP_REFUSAL),
     (["expand", "--n", "30", "--r", "2", "--basis", "m"], stirling, "_type_tally",
      _EXPAND_CAP_REFUSAL),
-], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "tables",
-        "mobius-verify", "expand"])
+], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "prop12",
+        "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand"])
 def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
                                            message):
     def no_work(*args):
@@ -297,9 +305,10 @@ def test_equidist_refuses_typing_work_before_any_word(capsys, monkeypatch, r):
                          "--r", str(r))
     assert (code, out) == (2, "")
     assert f"over the typing limit {stirling.TYPING_MAX_WORK}" in err
-    # Q(2, 125) and the sizes of the default battery stay accepted
+    # Q(2, 125), the sizes of the default battery and the Q(7, 2) of
+    # treeperm --n 8 stay accepted
     stirling.check_typing_budget(2, 125)
-    for n, r in [(6, 1), (6, 2), (5, 3)]:
+    for n, r in [(6, 1), (6, 2), (5, 3), (7, 2)]:
         stirling.check_typing_budget(n, r)
 
 

@@ -345,7 +345,7 @@ def test_failing_check_pinpoints_the_first_mismatch(
     from stirlingsym import cli
 
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
-    code = cli.main(["verify", "--identity", identity, "--json", *argv])
+    code = cli.main(["verify", "--identity", identity, "--format", "json", *argv])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["pass"] is False

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from stirlingsym.moduli import check_thm65, wp_volume
+from stirlingsym.moduli import WP_MAX_N, check_thm65, wp_volume
 from stirlingsym.partitions import partitions_of, z_of
 from stirlingsym.stirling import stirling_symfunc
 from stirlingsym.symfunc import convert
@@ -45,6 +45,16 @@ def test_volume_base_values():
     assert wp_volume((1, 1)) == 5
     assert wp_volume((2, 1)) == 9
     assert wp_volume((1, 1, 1)) == 61
+
+
+def test_volume_pins_from_the_slot_enumeration():
+    # computed by enumerating every spread of the part multiplicities over
+    # the k slots, a route independent of the generating-function power
+    assert wp_volume((1,) * 12) == 14273926322439378685
+    assert wp_volume((1,) * 13) == 3718118808742139574436
+    assert wp_volume((3, 2, 2, 1, 1, 1, 1, 1, 1)) == 7340760300536216
+    # the size limit itself is accepted
+    wp_volume((1,) * WP_MAX_N)
 
 
 def test_volume_matches_labeled_parts_oracle():

@@ -7,19 +7,15 @@ from stirlingsym import cli, stirling
 from stirlingsym.partitions import chain_type
 from stirlingsym.stirling import (
     StirlingPerm,
-    ascending_adjacent_type,
     block,
-    descending_adjacent_type,
     enumerate_stirling,
     enumerate_stirling_backtrack,
     eulerian_brute_force,
     eulerian_polynomial,
-    initially_nested_type,
     reverse,
     ring_segments,
     stats,
     stirling_symfunc,
-    terminally_nested_type,
     type_of,
 )
 from stirlingsym.symfunc import SymFunc, TPoly, convert, specialize_E
@@ -118,10 +114,10 @@ def test_blocks_and_segments():
 
 def test_types_on_the_worked_example():
     theta = StirlingPerm((1, 5, 8, 8, 5, 1, 2, 4, 4, 6, 6, 7, 7, 2, 9, 9, 3, 3), 9, 2)
-    assert ascending_adjacent_type(theta) == (3, 3, 1, 1, 1)
-    assert descending_adjacent_type(theta) == (2, 1, 1, 1, 1, 1, 1, 1)
-    assert terminally_nested_type(theta, 1) == (3, 2, 1, 1, 1, 1)
-    assert initially_nested_type(theta, 1) == (3, 2, 1, 1, 1, 1)
+    assert type_of(theta, "AA") == (3, 3, 1, 1, 1)
+    assert type_of(theta, "DA") == (2, 1, 1, 1, 1, 1, 1, 1)
+    assert type_of(theta, "TN", 1) == (3, 2, 1, 1, 1, 1)
+    assert type_of(theta, "IN", 1) == (3, 2, 1, 1, 1, 1)
 
 
 def test_types_table_rows():
@@ -139,7 +135,7 @@ def test_reverse():
     for theta in enumerate_stirling(3, 2):
         assert reverse(reverse(theta)) == theta
         assert stats(reverse(theta))["des"] == stats(theta)["asc"]
-        assert ascending_adjacent_type(reverse(theta)) == descending_adjacent_type(theta)
+        assert type_of(reverse(theta), "AA") == type_of(theta, "DA")
 
 
 @pytest.mark.parametrize("n,r", [(4, 1), (4, 2), (3, 3)])

@@ -21,7 +21,6 @@ from stirlingsym.trees import (
     forbidden_trees,
     is_leaf,
     is_lyndon_node,
-    is_lyndon_tree,
     is_normalized,
     leaves,
     lyndon_type,
@@ -180,8 +179,9 @@ def test_valency_and_lyndon_nodes():
     # right child of the left child has valency 2, the right child 3
     assert not is_lyndon_node(((1, 2), 3))
     assert is_lyndon_node(((1, 3), 2))
-    assert is_lyndon_tree(((1, 3), 2))
-    assert not is_lyndon_tree(((1, 2), 3))
+    for t, lyndon in [(((1, 3), 2), True), (((1, 2), 3), False)]:
+        assert is_normalized(t)
+        assert all(rec.chain_node for rec in analyze(t)) == lyndon
 
 
 def test_reconstructed_four_block_fixture():
