@@ -231,8 +231,7 @@ def _cmd_verify(args) -> int:
         names = [args.identity]
     else:
         known = ", ".join(checks)
-        print(f"unknown identity {args.identity!r}; known: {known}, all", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown identity {args.identity!r}; known: {known}, all")
     reports = [_call_check(name, checks[name], args) for name in names]
     if args.format == "json":
         payload = [r.to_json() for r in reports]

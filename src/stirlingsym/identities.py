@@ -3,6 +3,16 @@
 Each ``check_*`` function returns a :class:`VerificationReport`; the CLI
 ``verify`` verb and the acceptance tests consume these reports.  All checks
 are deterministic (random inputs are drawn from fixed seeds) and exact.
+
+The paper's inversion identities are one statement for r = 1 and r = 2.
+With s = r - 1, the series sum_n (-1)^(n-s) h_(n-s) y^n
+(:func:`_h_coefficient`) is inverted multiplicatively for r = 1 and
+compositionally for r = 2 (:func:`_invert`).  As an OGF its inverse holds
+the e_n (r = 1) and the noncrossing e-sums (r = 2); as an EGF it holds the
+type sum F(n-s, r) at y^n/n! (:func:`_type_sum`), and under e_i -> t the
+first- or second-order Eulerian polynomial.  ``prop11``/``prop12``,
+``thm13``/``thm14``, ``riordan``/``thm17``, ``forbidden`` and
+:func:`invert_egf_numeric` are all built from these pieces.
 """
 
 from __future__ import annotations
@@ -65,19 +75,29 @@ def _e(n: int) -> SymFunc:
     return basis_element("e", (n,) if n else ())
 
 
-def _alternating_h_ogf(order: int) -> TruncatedSeries:
-    ring = SymFuncRing(basis="h")
-    return TruncatedSeries.from_coefficients(
-        ring, "ogf", order, [(-1) ** n * _h(n) for n in range(order + 1)]
-    )
+def _h_coefficient(r: int, n: int, basis: str = "h") -> SymFunc:
+    """(-1)^(n-s) h_(n-s) with s = r - 1, in ``basis``; 0 for n < s."""
+    s = r - 1
+    if n < s:
+        return SymFunc.zero(basis)
+    return convert((-1) ** (n - s) * _h(n - s), basis)
 
 
-def _shifted_h_ogf(order: int) -> TruncatedSeries:
-    ring = SymFuncRing(basis="h")
-    coeffs = [SymFunc.zero("h")] + [
-        (-1) ** (n - 1) * _h(n - 1) for n in range(1, order + 1)
-    ]
-    return TruncatedSeries.from_coefficients(ring, "ogf", order, coeffs)
+def _type_sum(r: int, n: int) -> SymFunc:
+    """F(n-s, r) with s = r - 1, the inverse's coefficient of y^n/n!; 0 for n < s."""
+    s = r - 1
+    return SymFunc.zero("e") if n < s else stirling_symfunc(n - s, r)
+
+
+def _invert(r: int, series: TruncatedSeries) -> TruncatedSeries:
+    """The inversion of family r: multiplicative for r = 1, compositional for 2."""
+    return series.inv() if r == 1 else series.comp_inverse()
+
+
+def _ogf(order: int, fn) -> TruncatedSeries:
+    """OGF over the h basis with coefficients fn(n); the twin of symfunc_egf."""
+    coeffs = [convert(fn(n), "h") for n in range(order + 1)]
+    return TruncatedSeries.from_coefficients(SymFuncRing(basis="h"), "ogf", order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +159,8 @@ def noncrossing_e_sum(n: int) -> SymFunc:
 
 def check_prop11(order: int = 6) -> VerificationReport:
     """OGF: the inverse of the alternating h series is the e series."""
-    lhs = _alternating_h_ogf(order).inv()
-    ring = SymFuncRing(basis="h")
-    rhs = TruncatedSeries.from_coefficients(
-        ring, "ogf", order, [convert(_e(n), "h") for n in range(order + 1)]
-    )
-    return series_report("prop11", {"order": order}, lhs, rhs)
+    lhs = _invert(1, _ogf(order, lambda n: _h_coefficient(1, n)))
+    return series_report("prop11", {"order": order}, lhs, _ogf(order, _e))
 
 
 def check_prop12(order: int = 6) -> VerificationReport:
@@ -160,12 +176,9 @@ def check_prop12(order: int = 6) -> VerificationReport:
             catalan = binomial(2 * k, k) // (k + 1)
             yield f"|NC_{k}|", len(found), catalan
             yield f"|NC_{k}| noncrossing", sum(map(is_noncrossing, found)), catalan
-        ring = SymFuncRing(basis="h")
-        coeffs = [SymFunc.zero("h")] + [
-            convert(noncrossing_e_sum(n - 1), "h") for n in range(1, order + 1)
-        ]
-        rhs = TruncatedSeries.from_coefficients(ring, "ogf", order, coeffs)
-        yield from coefficient_pairs(_shifted_h_ogf(order).comp_inverse(), rhs)
+        lhs = _invert(2, _ogf(order, lambda n: _h_coefficient(2, n)))
+        rhs = _ogf(order, lambda n: noncrossing_e_sum(n - 1) if n else SymFunc.zero("e"))
+        yield from coefficient_pairs(lhs, rhs)
 
     details = ["noncrossing counts match Catalan numbers up to C_7"]
     return first_mismatch("prop12", {"order": order}, cases(), details)
@@ -176,25 +189,22 @@ def check_prop12(order: int = 6) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _egf_check(identity: str, r: int, order: int) -> VerificationReport:
+    """EGF: the inverse of family r's h series holds F(n-s, r) at y^n/n!."""
+    lhs = _invert(r, symfunc_egf(order, lambda n: _h_coefficient(r, n)))
+    rhs = symfunc_egf(order, lambda n: _type_sum(r, n))
+    return series_report(identity, {"order": order}, lhs, rhs)
+
+
 def check_thm13(order: int = 6) -> VerificationReport:
     """EGF: inverse of the alternating h series = permutation run-type e-sums."""
-    lhs = symfunc_egf(order, lambda n: (-1) ** n * _h(n)).inv()
-    rhs = symfunc_egf(order, lambda n: stirling_symfunc(n, 1))
-    return series_report("thm13", {"order": order}, lhs, rhs)
+    return _egf_check("thm13", 1, order)
 
 
 def check_thm14(order: int = 7) -> VerificationReport:
     """EGF: compositional inverse of the shifted alternating h series equals
     the series of nested-pair-type e-sums (doubled letters)."""
-    lhs = symfunc_egf(
-        order,
-        lambda n: SymFunc.zero("h") if n == 0 else (-1) ** (n - 1) * _h(n - 1),
-    ).comp_inverse()
-    rhs = symfunc_egf(
-        order,
-        lambda n: SymFunc.zero("e") if n == 0 else stirling_symfunc(n - 1, 2),
-    )
-    return series_report("thm14", {"order": order}, lhs, rhs)
+    return _egf_check("thm14", 2, order)
 
 
 # ---------------------------------------------------------------------------
@@ -205,72 +215,56 @@ def check_thm14(order: int = 7) -> VerificationReport:
 _COMMUTES = "t-specialization commutes coefficientwise"
 
 
-def _riordan_denominator(order: int) -> TruncatedSeries:
-    """1 - t G, the denominator of (1-t) / (1 - t exp((1-t)y)) over 1-t.
-
-    Dividing numerator and denominator by 1-t gives 1/(1 - t G) where
-    G = sum_{n>=1} (1-t)^(n-1) y^n / n!, whose inversion stays inside Q[t].
-    """
-    g = TruncatedSeries.from_egf_coefficients(
-        QT, order, [TPoly()] + [(ONE - T) ** (n - 1) for n in range(1, order + 1)]
-    )
-    return TruncatedSeries.one(QT, "egf", order) - g.scale(T)
+def _closed_coefficient(r: int, n: int) -> TPoly:
+    """E of _h_coefficient(r, n) in closed form, by E(h_k) = t (t-1)^(k-1):
+    0 below s = r - 1, 1 at s and -t(1-t)^(n-s-1) above."""
+    s = r - 1
+    if n <= s:
+        return ONE if n == s else TPoly()
+    return -T * (ONE - T) ** (n - s - 1)
 
 
-def check_riordan(order: int = 8) -> VerificationReport:
-    """First-order descent polynomials via the classical closed form.
+def _descent_check(identity: str, r: int, order: int) -> VerificationReport:
+    """The closed form of family r over Q[t], inverted, has the order-r
+    Eulerian polynomial A(n-s, r) at y^n/n!.
 
     Also verifies that the t-specialization commutes with the underlying
     symmetric-function identity on both sides.
     """
-    check_type_sum_limit(order)
-    denominator = _riordan_denominator(order)
+    s = r - 1
+    check_type_sum_limit(order - s)
+    closed = TruncatedSeries.from_egf_coefficients(
+        QT, order, [_closed_coefficient(r, n) for n in range(order + 1)]
+    )
     ref = TruncatedSeries.from_egf_coefficients(
-        QT, order, [eulerian_polynomial(n, 1) for n in range(order + 1)]
+        QT, order, [TPoly()] * s + [eulerian_polynomial(n, r) for n in range(order + 1 - s)]
     )
 
     def cases():
-        yield from coefficient_pairs(denominator.inv(), ref)
+        yield from coefficient_pairs(_invert(r, closed), ref)
         # specialization commutes: E of each symmetric-function coefficient
         for n in range(order + 1):
-            lhs_n = specialize_E((-1) ** n * _h(n))
-            yield f"specialized lhs y^{n}", lhs_n, denominator.egf_coefficient(n)
-            type_sum_n = specialize_E(stirling_symfunc(n, 1))
+            lhs_n = specialize_E(_h_coefficient(r, n))
+            yield f"specialized lhs y^{n}", lhs_n, closed.egf_coefficient(n)
+            type_sum_n = specialize_E(_type_sum(r, n))
             yield f"E at y^{n}", type_sum_n, ref.egf_coefficient(n)
 
-    return first_mismatch("riordan", {"order": order}, cases(), [_COMMUTES])
+    return first_mismatch(identity, {"order": order}, cases(), [_COMMUTES])
+
+
+def check_riordan(order: int = 8) -> VerificationReport:
+    """First-order descent polynomials via the classical closed form
+    (1-t) / (1 - t exp((1-t)y)), divided through by 1-t: 1 - t G with
+    G = sum_{n>=1} (1-t)^(n-1) y^n / n!, whose inversion stays inside Q[t]."""
+    return _descent_check("riordan", 1, order)
 
 
 def check_thm17(order: int = 8) -> VerificationReport:
-    """Second-order descent polynomials via the compositional closed form.
-
-    The closed form ((1-t)y + (1-exp(y(1-t)))t) / (1-t)^2 has y-coefficients
-    that are genuine polynomials in t: the constant term vanishes, the linear
-    term is 1 and the y^n/n! coefficient for n >= 2 is -t(1-t)^(n-2).
-    """
-    check_type_sum_limit(order - 1)
-    closed = TruncatedSeries.from_egf_coefficients(
-        QT,
-        order,
-        [TPoly(), ONE] + [-T * (ONE - T) ** (n - 2) for n in range(2, order + 1)],
-    )
-    ref = TruncatedSeries.from_egf_coefficients(
-        QT,
-        order,
-        [TPoly()] + [eulerian_polynomial(n - 1, 2) for n in range(1, order + 1)],
-    )
-
-    def cases():
-        yield from coefficient_pairs(closed.comp_inverse(), ref)
-        for n in range(order + 1):
-            coeff = SymFunc.zero("h") if n == 0 else (-1) ** (n - 1) * _h(n - 1)
-            lhs_n = specialize_E(coeff)
-            yield f"specialized lhs y^{n}", lhs_n, closed.egf_coefficient(n)
-            if n >= 1:
-                type_sum_n = specialize_E(stirling_symfunc(n - 1, 2))
-                yield f"E at y^{n}", type_sum_n, ref.egf_coefficient(n)
-
-    return first_mismatch("thm17", {"order": order}, cases(), [_COMMUTES])
+    """Second-order descent polynomials via the compositional closed form
+    ((1-t)y + (1-exp(y(1-t)))t) / (1-t)^2, whose y-coefficients are genuine
+    polynomials in t: y^0 vanishes, y^1 is 1 and y^n/n! for n >= 2 is
+    -t(1-t)^(n-2)."""
+    return _descent_check("thm17", 2, order)
 
 
 def check_eulerian_oracle(n: int = 6) -> VerificationReport:
@@ -313,7 +307,9 @@ def check_htoe(n: int = 8) -> VerificationReport:
 
 
 def check_lemma52(n: int = 8) -> VerificationReport:
-    """E(h_k) = t (t-1)^(k-1) for k = 1..n."""
+    """E(h_k) = t (t-1)^(k-1) for k = 1..n; n above ``TYPE_SUM_MAX_N`` is
+    refused before any specialization."""
+    check_type_sum_limit(n)
     cases = (
         (f"h_{k}", specialize_E(_h(k)), T * (T - ONE) ** (k - 1))
         for k in range(1, n + 1)
@@ -423,22 +419,17 @@ def check_equicardinality(weight: int = 4) -> VerificationReport:
 
 def check_forbidden(order: int = 5) -> VerificationReport:
     """Signed EGFs of the forbidden chains equal the alternating h series."""
-    # the series below would meet the cap at h_(order-1) only after
+    # the reference below would meet the cap at h_(order-1) only after
     # building the matrices of every smaller degree
     _check_cap(order - 1, DEFAULT_DEGREE_CAP)
-    ring = SymFuncRing(basis="m")
-    ref = TruncatedSeries.from_egf_coefficients(
-        ring,
-        order,
-        [SymFunc.zero("m")]
-        + [convert((-1) ** (n - 1) * _h(n - 1), "m") for n in range(1, order + 1)],
-    )
-    for kind in ("lyn", "comb"):
-        got = forbidden_tree_egf(kind, order)
-        report = series_report("forbidden", {"order": order, "kind": kind}, got, ref)
-        if not report.passed:
-            return report
-    return VerificationReport("forbidden", {"order": order}, True)
+
+    def cases():
+        for kind in ("lyn", "comb"):
+            got = forbidden_tree_egf(kind, order)
+            for n in range(order + 1):
+                yield f"{kind} y^{n}", got.egf_coefficient(n), _h_coefficient(2, n, "m")
+
+    return first_mismatch("forbidden", {"order": order}, cases())
 
 
 def check_drake(order: int = 6) -> VerificationReport:
@@ -465,46 +456,43 @@ def check_drake(order: int = 6) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+#: The family r whose inversion each ``invert_egf_numeric`` kind performs.
+_FAMILY = {"mult": 1, "comp": 2}
+
+
 def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
     """Coefficients of the inverse EGF via the h-expansion evaluations.
 
-    ``f`` lists the semantic coefficients f_n of y^n/n!.  For kind "mult"
-    the n-th semantic output coefficient is (-1)^n f_0^{-1} P_n evaluated at
-    h_i = f_i/f_0, where P_n is the permutation-type sum; for kind "comp" it
-    is (-1)^(n-1) f_1^{-n} Q_(n-1) evaluated at h_i = f_(i+1)/f_1, with Q
-    the doubled-letter analogue.  The type sums stay in the e basis:
-    :func:`evaluate_h` derives the images of e_k from the values of h_k, so
-    no basis conversion (and no degree cap) is involved.  Must agree with
-    the direct triangular inversions.
+    ``f`` lists the semantic coefficients f_n of y^n/n!.  Kind "mult" inverts
+    family r = 1, kind "comp" family r = 2; with s = r - 1 and the lead
+    coefficient f_s, the n-th semantic output coefficient is
+    (-1)^(n-s) c_n F(n-s, r) evaluated at h_i = f_(i+s)/f_s, where
+    c_n = f_0^(-1) for "mult" and f_1^(-n) for "comp" (and 0 for n < s).
+    The type sums stay in the e basis: :func:`evaluate_h` derives the images
+    of e_k from the values of h_k, so no basis conversion (and no degree
+    cap) is involved.  Must agree with the direct triangular inversions.
     """
     f = [Fraction(x) for x in f]
     if order < 0:
         raise ValueError("order must be nonnegative")
     if len(f) < order + 1:
         raise ValueError("need coefficients up to the requested order")
-    if kind == "mult":
-        if f[0] == 0:
-            raise ValueError("multiplicative inverse needs f_0 != 0")
-        check_type_sum_limit(order)
-        values = {i: f[i] / f[0] for i in range(1, order + 1)}
-        return [
-            (-1) ** n / f[0] * evaluate_h(stirling_symfunc(n, 1), values)
-            for n in range(order + 1)
-        ]
-    if kind == "comp":
-        if len(f) < 2 or f[0] != 0 or f[1] == 0:
-            raise ValueError("compositional inverse needs f_0 = 0 and f_1 != 0")
-        check_type_sum_limit(order - 1)
-        values = {i: f[i + 1] / f[1] for i in range(1, order)}
-        out = [Fraction(0)]
-        for n in range(1, order + 1):
-            out.append(
-                (-1) ** (n - 1)
-                * f[1] ** (-n)
-                * evaluate_h(stirling_symfunc(n - 1, 2), values)
-            )
-        return out
-    raise ValueError("kind must be 'mult' or 'comp'")
+    if kind == "mult" and f[0] == 0:
+        raise ValueError("multiplicative inverse needs f_0 != 0")
+    if kind == "comp" and (len(f) < 2 or f[0] != 0 or f[1] == 0):
+        raise ValueError("compositional inverse needs f_0 = 0 and f_1 != 0")
+    if kind not in _FAMILY:
+        raise ValueError("kind must be 'mult' or 'comp'")
+    r = _FAMILY[kind]
+    s = r - 1
+    check_type_sum_limit(order - s)
+    lead = f[s]
+    values = {i: f[i + s] / lead for i in range(1, order + 1 - s)}
+    out = [Fraction(0)] * s
+    for n in range(s, order + 1):
+        scale = 1 / lead if r == 1 else lead ** -n
+        out.append((-1) ** (n - s) * scale * evaluate_h(_type_sum(r, n), values))
+    return out
 
 
 def check_inversion(order: int = 6, samples: int = 50) -> VerificationReport:
@@ -521,7 +509,7 @@ def check_inversion(order: int = 6, samples: int = 50) -> VerificationReport:
 
     def both_routes(kind: str, sem: list[Fraction], label: str):
         series = TruncatedSeries.from_egf_coefficients(QQ, order, sem)
-        direct = series.inv() if kind == "mult" else series.comp_inverse()
+        direct = _invert(_FAMILY[kind], series)
         got = invert_egf_numeric(kind, sem, order)
         for n in range(order + 1):
             yield f"{label} y^{n}", got[n], direct.egf_coefficient(n)

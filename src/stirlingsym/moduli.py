@@ -37,17 +37,10 @@ from itertools import product
 from math import comb, factorial, prod
 from operator import add, le, mul
 
-from .partitions import (
-    Partition,
-    check_partition,
-    multiplicities,
-    partitions_of,
-    rational_str,
-    z_of,
-)
-from .report import VerificationReport
+from .partitions import Partition, check_partition, multiplicities, partitions_of, z_of
+from .report import VerificationReport, first_mismatch
 from .stirling import stirling_symfunc
-from .symfunc import DEFAULT_DEGREE_CAP, _check_cap, convert
+from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, _check_cap, convert
 
 #: Largest |lam| that :func:`wp_volume` evaluates.  On a 2-vCPU Xeon VM with
 #: Python 3.11 the slowest partition of 30, (5,4,3,3,2,2,2,1^9), takes about
@@ -101,52 +94,41 @@ def wp_volume(lam: Partition) -> Fraction:
     return factorial(n) * prod(map(factorial, mults)) * total
 
 
+#: The two candidate sign rules, each as the shift c of (-1)^(n - c - l(lam)).
+_SIGN_RULES = {"(-1)^(n-len)": 0, "(-1)^(n-1-len)": 1}
+
+
 def check_thm65(n: int = 5) -> VerificationReport:
     """A single sign rule links the volumes to the power-sum coefficients.
 
     For each degree m <= n the check computes the power-sum expansion of the
-    doubled-letter type sum and tests, for every lam of m, whether its
-    coefficient equals sign * wp_volume(lam) / z_lam with sign taken from
-    (-1)^(m - l(lam)) or from (-1)^(m - 1 - l(lam)).  It passes when one rule
-    works uniformly for each m, and reports the matching rule; per-lam
-    diagnostics record where the other rule disagrees.
+    doubled-letter type sum and compares it with the expansion each sign
+    rule predicts, sign * wp_volume(lam) / z_lam at every lam of m.  It
+    passes when one rule matches at each m, and notes the matching rules;
+    a degree no rule matches is reported against the first rule.
     """
     # convert would meet the cap at degree n only after building the
     # matrices of every smaller degree
     _check_cap(n, DEFAULT_DEGREE_CAP)
-    params = {"n": n}
     details: list[str] = []
-    rules = {
-        "(-1)^(n-len)": lambda m, l: (-1) ** (m - l),
-        "(-1)^(n-1-len)": lambda m, l: (-1) ** (m - 1 - l),
-    }
-    for m in range(n + 1):
-        pexp = convert(stirling_symfunc(m, 2), "p")
-        matches = {name: True for name in rules}
-        for lam in partitions_of(m):
-            coeff = pexp.coefficient(lam)
-            target = wp_volume(lam) / z_of(lam)
-            for name, rule in rules.items():
-                if coeff != rule(m, len(lam)) * target:
-                    matches[name] = False
-        winners = [name for name, ok in matches.items() if ok]
-        if not winners:
-            lam = partitions_of(m)[0]
-            return VerificationReport(
-                "thm65",
-                params,
-                False,
-                {
-                    "location": f"degree {m}",
-                    "lhs": str(convert(stirling_symfunc(m, 2), "p")),
-                    "rhs": f"no uniform sign rule; e.g. WP{lam}/z = "
-                    + rational_str(wp_volume(lam) / z_of(lam)),
-                },
-                details,
+
+    def cases():
+        for m in range(n + 1):
+            pexp = convert(stirling_symfunc(m, 2), "p")
+            scaled = {lam: wp_volume(lam) / z_of(lam) for lam in partitions_of(m)}
+            predicted = {
+                rule: SymFunc("p", {lam: (-1) ** ((m - shift - len(lam)) % 2) * v
+                                    for lam, v in scaled.items()})
+                for rule, shift in _SIGN_RULES.items()
+            }
+            winners = [rule for rule, rhs in predicted.items() if rhs == pexp]
+            if winners:
+                details.append(f"degree {m}: uniform sign rule {' and '.join(winners)}")
+            rule = winners[0] if winners else "(-1)^(n-len)"
+            yield f"degree {m} under {rule}", pexp, predicted[rule]
+        if all("(-1)^(n-len)" in d for d in details[1:]):
+            details.append(
+                "the stated exponent n-1-len disagrees; n-len matches every degree"
             )
-        details.append(f"degree {m}: uniform sign rule {' and '.join(winners)}")
-    if all("(-1)^(n-len)" in d for d in details[1:]):
-        details.append(
-            "the stated exponent n-1-len disagrees; n-len matches every degree"
-        )
-    return VerificationReport("thm65", params, True, None, details)
+
+    return first_mismatch("thm65", {"n": n}, cases(), details)

@@ -96,7 +96,7 @@ def test_verify_passes_n_to_checks(capsys):
 def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "--identity", "nonsense")
     assert code == 2
-    assert "unknown identity" in err
+    assert err.startswith("error: unknown identity 'nonsense'; known: prop11,")
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
@@ -211,6 +211,8 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
     # comp_inverse inverts through inv
     (["verify", "--identity", "thm17", "--order", "32"], TruncatedSeries, "inv",
      _TYPE_SUM_REFUSAL),
+    (["verify", "--identity", "lemma52", "--n", "31"], identities, "specialize_E",
+     _TYPE_SUM_REFUSAL),
     (["invert", "--kind", "mult", "--coeffs", ",".join(["1"] * 32)], stirling,
      "_type_tally", _TYPE_SUM_REFUSAL),
     (["verify", "--identity", "forbidden", "--order", "10"], identities, "convert",
@@ -229,8 +231,8 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
      "_down_sets", _CAP_REFUSAL),
     (["expand", "--n", "30", "--r", "2", "--basis", "m"], stirling, "_type_tally",
      _EXPAND_CAP_REFUSAL),
-], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "invert", "forbidden", "prop12",
-        "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand"])
+], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "lemma52", "invert", "forbidden",
+        "prop12", "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand"])
 def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
                                            message):
     def no_work(*args):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+from stirlingsym import moduli
 from stirlingsym.moduli import WP_MAX_N, check_thm65, wp_volume
 from stirlingsym.partitions import partitions_of, z_of
 from stirlingsym.stirling import stirling_symfunc
@@ -85,6 +86,22 @@ def test_sign_rule_check():
     assert any("(-1)^(n-len)" in note for note in report.details)
     # the check records that the other printed exponent disagrees
     assert any("disagrees" in note for note in report.details)
+
+
+def test_sign_rule_check_compares_exactly(monkeypatch):
+    # volumes fitted to the other rule, (-1)^(n-1-len): it must be reported
+    # at every degree, which needs exact signs (61/6 at p(1,1,1) is no float)
+    def fitted(lam):
+        m = sum(lam)
+        pexp = convert(stirling_symfunc(m, 2), "p")
+        return (-1) ** ((m - 1 - len(lam)) % 2) * pexp.coefficient(lam) * z_of(lam)
+
+    monkeypatch.setattr(moduli, "wp_volume", fitted)
+    report = check_thm65(5)
+    assert report.passed
+    assert report.details == [
+        f"degree {m}: uniform sign rule (-1)^(n-1-len)" for m in range(6)
+    ]
 
 
 def test_sign_rule_check_degree_one():
