@@ -13,14 +13,16 @@ Comma-list values may start with a minus sign in either form:
 
 Each verb imports the layers it runs when it runs, so building the parser
 loads no layer and ``eulerian`` or ``expand --basis e`` loads only
-``stirling``, ``symfunc`` and ``partitions``; only the standard-library
-modules that every verb needs are imported here.
+``stirling``, ``symfunc`` and ``partitions``.  Only the standard-library
+modules that every verb needs, ``argparse``, ``os``, ``re`` and ``sys``, are
+imported here; with the layers' ``collections.abc``, ``fractions``,
+``functools``, ``itertools``, ``math`` and ``threading`` they are all that a
+tally verb loads.  ``json`` is imported only when a verb prints JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -61,6 +63,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     return tuple(int(x) for x in text.split(","))
+
+
+def _print_json(obj) -> None:
+    """Print ``obj`` as one JSON line; only a verb that prints JSON loads json."""
+    import json
+
+    print(json.dumps(obj))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +144,7 @@ def _cmd_expand(args) -> int:
     f = stirling_symfunc(args.n, args.r, args.kind, args.j)
     g = convert(f, args.basis)
     if args.format == "json":
-        print(json.dumps(g.to_json()))
+        _print_json(g.to_json())
     elif args.format == "latex":
         print(render_symfunc(g, latex=True))
     else:
@@ -149,7 +158,7 @@ def _cmd_enumerate(args) -> int:
 
         for sp in enumerate_stirling(args.n, args.r):
             if args.format == "json":
-                print(json.dumps(sp.to_json()))
+                _print_json(sp.to_json())
             else:
                 print(sp)
     else:
@@ -157,7 +166,7 @@ def _cmd_enumerate(args) -> int:
 
         for t in enumerate_normalized(args.n):
             if args.format == "json":
-                print(json.dumps(tree_to_json(t)))
+                _print_json(tree_to_json(t))
             else:
                 print(render_tree(t))
                 print()
@@ -180,7 +189,7 @@ def _cmd_eulerian(args) -> int:
 
     poly = eulerian_polynomial(args.n, args.r)
     if args.format == "json":
-        print(json.dumps(poly.to_json()))
+        _print_json(poly.to_json())
     else:
         print(poly)
     return 0
@@ -235,7 +244,7 @@ def _cmd_verify(args) -> int:
     reports = [_call_check(name, checks[name], args) for name in names]
     if args.format == "json":
         payload = [r.to_json() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=None))
+        _print_json(payload[0] if len(payload) == 1 else payload)
     else:
         for r in reports:
             print(r.render())
@@ -250,7 +259,7 @@ def _cmd_invert(args) -> int:
     order = args.order if args.order is not None else len(coeffs) - 1
     result = invert_egf_numeric(args.kind, coeffs, order)
     if args.format == "json":
-        print(json.dumps([rational_str(c) for c in result]))
+        _print_json([rational_str(c) for c in result])
     else:
         for n, c in enumerate(result):
             print(f"{n}: {rational_str(c)}")
@@ -264,7 +273,7 @@ def _cmd_wp(args) -> int:
     lam = check_partition(_parse_ints(args.lam))
     value = wp_volume(lam)
     if args.format == "json":
-        print(json.dumps({"lambda": list(lam), "wp": rational_str(value)}))
+        _print_json({"lambda": list(lam), "wp": rational_str(value)})
     else:
         print(rational_str(value))
     return 0
@@ -283,17 +292,17 @@ def _cmd_mobius(args) -> int:
     value = iv.mobius_invariant()
     if not args.verify:
         if args.format == "json":
-            print(json.dumps({"poset": args.poset, "n": args.n,
-                              "mu": list(mu), "mobius": value}))
+            _print_json({"poset": args.poset, "n": args.n,
+                         "mu": list(mu), "mobius": value})
         else:
             print(value)
         return 0
     predicted = _signed_type_coefficient(args.poset, args.n, sort_to_partition(mu))
     ok = predicted == value
     if args.format == "json":
-        print(json.dumps({"poset": args.poset, "n": args.n, "mu": list(mu),
-                          "mobius": value, "coefficient": rational_str(predicted),
-                          "pass": ok}))
+        _print_json({"poset": args.poset, "n": args.n, "mu": list(mu),
+                     "mobius": value, "coefficient": rational_str(predicted),
+                     "pass": ok})
     else:
         print(f"mobius = {value}, signed type-sum coefficient = "
               f"{rational_str(predicted)}: {'pass' if ok else 'FAIL'}")

@@ -85,29 +85,25 @@ def series_report(identity: str, params: dict, lhs, rhs) -> VerificationReport:
 
 
 def _first_difference(a, b):
-    """(location, lhs, rhs) of the first differing term of two coefficients."""
+    """(location, lhs, rhs) of the first differing term of two coefficients.
+
+    Two symmetric functions are compared in their common basis, and in the
+    m basis when their bases differ.
+    """
+    from .partitions import rational_str
     from .symfunc import SymFunc, TPoly, convert, _term_order_key
 
     if isinstance(a, SymFunc) and isinstance(b, SymFunc):
-        am, bm = convert(a, "m").terms, convert(b, "m").terms
-        for lam in sorted(set(am) | set(bm), key=_term_order_key):
-            if am.get(lam, 0) != bm.get(lam, 0):
+        if a.basis != b.basis:
+            a, b = convert(a, "m"), convert(b, "m")
+        for lam in sorted(set(a.terms) | set(b.terms), key=_term_order_key):
+            x, y = a.terms.get(lam, 0), b.terms.get(lam, 0)
+            if x != y:
                 body = ",".join(str(p) for p in lam)
-                from .partitions import rational_str
-
-                return (
-                    f"m({body})",
-                    rational_str(am.get(lam, 0)),
-                    rational_str(bm.get(lam, 0)),
-                )
+                return f"{a.basis}({body})", rational_str(x), rational_str(y)
     if isinstance(a, TPoly) and isinstance(b, TPoly):
-        from .partitions import rational_str
-
         for e in sorted(set(a.coeffs) | set(b.coeffs)):
-            if a.coeffs.get(e, 0) != b.coeffs.get(e, 0):
-                return (
-                    f"t^{e}",
-                    rational_str(a.coeffs.get(e, 0)),
-                    rational_str(b.coeffs.get(e, 0)),
-                )
+            x, y = a.coeffs.get(e, 0), b.coeffs.get(e, 0)
+            if x != y:
+                return f"t^{e}", rational_str(x), rational_str(y)
     return None, str(a), str(b)

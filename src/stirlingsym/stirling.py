@@ -34,7 +34,6 @@ streams the words of Q(n, r) in O(nr) memory, and
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -64,32 +63,33 @@ ENUMERATION_MAX_WORDS = 2_500_000
 TYPING_MAX_WORK = 8_000_000
 
 
-@dataclass(frozen=True)
 class StirlingPerm:
-    """A nested multiset permutation: each of 1..n occurs exactly r times."""
+    """A nested multiset permutation: each of 1..n occurs exactly r times.
 
-    word: tuple[int, ...]
-    n: int
-    r: int
+    Immutable, and equal (and equally hashed) exactly when word, n and r are.
+    A plain slots class: the tally verbs never build one, and a dataclass
+    would make every start-up import ``dataclasses`` and ``inspect``.
+    """
 
-    def __post_init__(self):
-        if self.n < 0 or self.r < 1:
+    __slots__ = ("word", "n", "r")
+
+    def __init__(self, word, n: int, r: int):
+        if n < 0 or r < 1:
             raise ValueError("need n >= 0 and r >= 1")
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        if len(word) != self.n * self.r:
-            raise ValueError(f"word length {len(word)} != n*r = {self.n * self.r}")
-        counts = [0] * (self.n + 1)
+        word = tuple(word)
+        if len(word) != n * r:
+            raise ValueError(f"word length {len(word)} != n*r = {n * r}")
+        counts = [0] * (n + 1)
         for x in word:
-            if not 1 <= x <= self.n:
-                raise ValueError(f"letter {x} out of range 1..{self.n}")
+            if not 1 <= x <= n:
+                raise ValueError(f"letter {x} out of range 1..{n}")
             counts[x] += 1
-        if any(c != self.r for c in counts[1:]):
+        if any(c != r for c in counts[1:]):
             raise ValueError("every letter must occur exactly r times")
         # nesting: other letters between two occurrences of m exceed m;
         # open letters form an increasing stack while scanning
         stack: list[int] = []
-        remaining = [self.r] * (self.n + 1)
+        remaining = [r] * (n + 1)
         for x in word:
             if stack and x < stack[-1]:
                 raise ValueError(f"nesting condition violated in {word}")
@@ -99,6 +99,31 @@ class StirlingPerm:
                     stack.pop()
             elif remaining[x] > 0:
                 stack.append(x)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: pickle and copy would otherwise restore
+        # the slots through the refused __setattr__
+        return StirlingPerm, (self.word, self.n, self.r)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.n, self.r) == (other.word, other.n, other.r)
+
+    def __hash__(self):
+        return hash((self.word, self.n, self.r))
+
+    def __repr__(self):
+        return f"StirlingPerm(word={self.word!r}, n={self.n!r}, r={self.r!r})"
 
     def __str__(self):
         if self.n <= 9:

@@ -51,6 +51,18 @@ def test_eulerian(capsys):
     assert out == "t + 8*t^2 + 6*t^3\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["eulerian", "--n", "4", "--r", "2"], '[[1, "1"], [2, "22"], [3, "58"], [4, "24"]]'),
+    (["mobius", "--poset", "pi", "--n", "4", "--mu", "2,1"],
+     '{"poset": "pi", "n": 4, "mu": [2, 1], "mobius": -26}'),
+    (["mobius", "--poset", "pi", "--n", "4", "--mu", "2,1", "--verify"],
+     '{"poset": "pi", "n": 4, "mu": [2, 1], "mobius": -26, "coefficient": "-26", '
+     '"pass": true}'),
+], ids=["eulerian", "mobius", "mobius-verify"])
+def test_json_lines_keep_their_bytes(capsys, argv, line):
+    assert run(capsys, *argv, "--format", "json") == (0, line + "\n", "")
+
+
 def test_enumerate_words(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "2", "--r", "2")
     assert code == 0

@@ -194,7 +194,7 @@ def test_report_invariants():
 
 
 def test_series_report_pinpoints_first_coefficient():
-    from stirlingsym.report import series_report
+    from stirlingsym.report import first_mismatch, series_report
     from stirlingsym.series import SymFuncRing, TruncatedSeries
 
     ring = SymFuncRing(basis="e")
@@ -206,12 +206,16 @@ def test_series_report_pinpoints_first_coefficient():
     )
     report = series_report("demo", {"order": 2}, lhs, rhs)
     assert not report.passed
-    # drilled down to the first differing monomial term, as exact rationals
+    # drilled down to the first differing term of the shared basis, as exact
+    # rationals; sides in different bases are compared in the m basis
     assert report.discrepancy == {
-        "location": "y^2, m(2)",
-        "lhs": "0",
-        "rhs": "1",
+        "location": "y^2, e(2)",
+        "lhs": "1",
+        "rhs": "0",
     }
+    mixed = first_mismatch("demo", {}, [("x", basis_element("e", (2,)),
+                                         basis_element("h", (2,)))])
+    assert mixed.discrepancy == {"location": "x, m(2)", "lhs": "0", "rhs": "1"}
 
 
 def test_first_mismatch_stops_at_the_first_differing_pair():
@@ -331,6 +335,10 @@ FAILING_PATHS = [
     ("thm64", ["--n", "2"], posets, "mobius_invariant",
      lambda fn: _bumped(fn, _not_sorted), "n=2 rearrangement (0, 1, 1) of (1, 1)"),
     ("thm65", ["--n", "2"], moduli, "wp_volume", _bumped, "degree 0"),
+    # both sides are in the p basis, so the report names the wrong p term
+    ("thm65", ["--n", "4"], moduli, "wp_volume",
+     lambda fn: _bumped(fn, lambda lam: lam == (2, 1)),
+     "degree 3 under (-1)^(n-len), p(2,1)"),
 ]
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -84,6 +86,36 @@ def test_validation_rejects_bad_words():
         StirlingPerm((1, 1, 2), 2, 2)  # wrong length
     with pytest.raises(ValueError):
         StirlingPerm((1, 1, 1, 1), 2, 2)  # wrong multiplicities
+
+
+def test_stirling_perm_contract():
+    sp = StirlingPerm([1, 1, 2, 2], 2, 2)
+    assert sp.word == (1, 1, 2, 2) and (sp.n, sp.r) == (2, 2)
+    same = StirlingPerm(word=(1, 1, 2, 2), n=2, r=2)
+    assert sp == same and hash(sp) == hash(same) and len({sp, same}) == 1
+    assert sp != StirlingPerm((1, 2, 2, 1), 2, 2)
+    assert sp != ((1, 1, 2, 2), 2, 2)
+    assert repr(sp) == "StirlingPerm(word=(1, 1, 2, 2), n=2, r=2)"
+    assert eval(repr(sp), {"StirlingPerm": StirlingPerm}) == sp
+    for name in ("word", "n", "r", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sp, name, 1)
+    with pytest.raises(AttributeError):
+        del sp.word
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sp, protocol)) == sp
+    assert copy.deepcopy(sp) == sp and copy.copy(sp) == sp
+    for args, message in [
+        (((), -1, 2), "need n >= 0 and r >= 1"),
+        (((), 2, 0), "need n >= 0 and r >= 1"),
+        (((1, 1, 2), 2, 2), "word length 3 != n*r = 4"),
+        (((1, 1, 3, 3), 2, 2), "letter 3 out of range 1..2"),
+        (((1, 1, 1, 1), 2, 2), "every letter must occur exactly r times"),
+        (((1, 2, 1, 2), 2, 2), "nesting condition violated in (1, 2, 1, 2)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            StirlingPerm(*args)
+        assert str(info.value) == message
 
 
 def test_stats_table_rows():
