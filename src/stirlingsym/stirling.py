@@ -239,52 +239,11 @@ def reverse(sp: StirlingPerm) -> StirlingPerm:
     return StirlingPerm(tuple(reversed(sp.word)), sp.n, sp.r)
 
 
-def stats(sp: StirlingPerm) -> dict:
-    """Descents, ascents and per-gap plateau counts, with zero sentinels.
-
-    Returns {"des": int, "asc": int, "pla": (pla_1, ..., pla_{r-1})}.  A
-    plateau between equal adjacent letters belongs to gap j when the left
-    letter is the j-th occurrence of its value.
-    """
-    word = sp.word
-    padded = (0,) + word + (0,)
-    des = asc = 0
-    pla = [0] * (sp.r - 1) if sp.r > 1 else []
-    seen = [0] * (sp.n + 1)
-    for i in range(len(padded) - 1):
-        a, b = padded[i], padded[i + 1]
-        if 1 <= i <= len(word):
-            seen[word[i - 1]] += 1
-        if a > b:
-            des += 1
-        elif a < b:
-            asc += 1
-        elif a != 0:
-            pla[seen[a] - 1] += 1
-    return {"des": des, "asc": asc, "pla": tuple(pla)}
-
-
 def _occurrences(sp: StirlingPerm) -> dict[int, list[int]]:
     occ: dict[int, list[int]] = {a: [] for a in range(1, sp.n + 1)}
     for i, x in enumerate(sp.word):
         occ[x].append(i)
     return occ
-
-
-def block(sp: StirlingPerm, a: int) -> tuple[int, int]:
-    """Index range [start, end] of the block of letter a (inclusive)."""
-    if not 1 <= a <= sp.n:
-        raise ValueError(f"letter {a} out of range 1..{sp.n}")
-    occ = _occurrences(sp)[a]
-    return occ[0], occ[-1]
-
-
-def ring_segments(sp: StirlingPerm, a: int) -> list[tuple[int, ...]]:
-    """The r-1 (possibly empty) subwords between consecutive occurrences of a."""
-    if not 1 <= a <= sp.n:
-        raise ValueError(f"letter {a} out of range 1..{sp.n}")
-    occ = _occurrences(sp)[a]
-    return [tuple(sp.word[occ[j] + 1 : occ[j + 1]]) for j in range(sp.r - 1)]
 
 
 def type_of(sp: StirlingPerm, kind: str = "AA", j: int = 1) -> Partition:

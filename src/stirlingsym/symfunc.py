@@ -6,12 +6,17 @@ integer partitions, tagged with one of the five classical bases:
 * ``m`` monomial, ``e`` elementary, ``h`` complete homogeneous, ``p`` power
   sum, ``s`` Schur.
 
-Conversions among m, e, h and p go through explicit expansions in d variables
-(d = the degree of the homogeneous component, which is faithful for that
-degree): expand the basis element as a polynomial and read the monomial
-coefficients at partition exponents.  The Schur basis is handled through
-symmetric-group characters (Murnaghan-Nakayama recursion) pivoting on the
-power-sum basis, so everything stays in exact integer/rational arithmetic.
+Every conversion with p at one end is an algebra map or the Hall pairing.
+e_lam and h_lam map to p as products of the closed forms
+e_k = sum_mu (-1)^(k - l(mu)) p_mu / z_mu and h_k = sum_mu p_mu / z_mu; p_lam
+maps to e or h through the images of p_k by Newton's identity; p <-> m is
+read off those maps through <m_mu, h_nu> = delta and <p_lam, p_nu> =
+z_lam delta.  The Schur basis pivots on p through symmetric-group characters
+(Murnaghan-Nakayama recursion).  Only e <-> h and e/h <-> m still go through
+explicit expansions in d variables (d = the degree of the homogeneous
+component, which is faithful for that degree), reading the monomial
+coefficients at partition exponents.  Everything stays in exact
+integer/rational arithmetic.
 
 The algebra maps :func:`specialize_E` (e_i -> t) and :func:`evaluate_h`
 (h_i -> values) are fixed by the images of one generator family: the images
@@ -19,15 +24,16 @@ of e_k, h_k and p_k follow from the e-h relation and Newton's identity, and
 an e-, h- or p-basis input maps term by term without any conversion.
 
 Elements are immutable after construction and all operations are pure, so
-values can be shared freely across threads.  The per-degree transition
-matrices are computed once and kept in a lock-protected cache.
+values can be shared freely across threads.  Generator images and
+per-degree transition matrices are computed once and cached; the d-variable
+matrices sit behind a lock.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
@@ -63,8 +69,9 @@ def _check_cap(degree: int, cap: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in d variables, used to build transition matrices
+# polynomials in d variables, used to build the e <-> h and e/h <-> m matrices
 # ---------------------------------------------------------------------------
+# These pairs wait for the algebra maps below until ROADMAP items 1 and 2.
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -81,13 +88,11 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 
 def _generator_poly(basis: str, k: int, d: int) -> dict:
-    """e_k, h_k or p_k expanded in exactly d variables."""
+    """e_k or h_k expanded in exactly d variables."""
     if basis == "e":
         idxsets = combinations(range(d), k)
     elif basis == "h":
         idxsets = combinations_with_replacement(range(d), k)
-    elif basis == "p":
-        idxsets = ((i,) * k for i in range(d))
     else:
         raise ValueError(f"no variable expansion for basis {basis!r}")
     out: dict = {}
@@ -491,6 +496,82 @@ def render_symfunc(f: SymFunc, latex: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Terms(dict):
+    """A combination of e_lam, h_lam or p_lam; products join the partitions.
+
+    The ring in which the algebra maps below compute and :func:`multiply`
+    multiplies.  Inside a conversion no product exceeds the degree of the
+    element converted, which :func:`convert` has checked against the cap.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = _Terms(self)
+        for lam, c in other.items():
+            out[lam] = out.get(lam, 0) + c
+        return _Terms({lam: c for lam, c in out.items() if c})
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if not isinstance(other, _Terms):
+            return _Terms({lam: c * other for lam, c in self.items()} if other else {})
+        out = _Terms()
+        for lam, a in self.items():
+            for mu, b in other.items():
+                key = tuple(sorted(lam + mu, reverse=True))
+                out[key] = out.get(key, 0) + a * b
+        return _Terms({lam: c for lam, c in out.items() if c})
+
+
+@lru_cache(maxsize=None)
+def _power_sum_image(family: str, k: int) -> _Terms:
+    """e_k = sum_mu (-1)^(k - l(mu)) p_mu / z_mu, or h_k = sum_mu p_mu / z_mu."""
+    return _Terms({
+        mu: Fraction((-1) ** (k - len(mu)) if family == "e" else 1, z_of(mu))
+        for mu in partitions_of(k)
+    })
+
+
+def _map_terms(terms: dict, source: str, target: str, d: int) -> dict:
+    """e/h -> p and p -> e/h as algebra maps fixed by the generators' images:
+    the closed forms of e_k and h_k in p, or the target's own generators, from
+    which :func:`_generator_images` derives p_k by Newton's identity."""
+    if target == "p":
+        family, image = source, partial(_power_sum_image, source)
+    else:
+        family, image = target, lambda k: _Terms({(k,): 1})
+    return _apply_algebra_map(SymFunc(source, terms), family, image, _Terms({(): 1}), d)
+
+
+@lru_cache(maxsize=None)
+def _hall_rows(target: str, d: int) -> dict:
+    """p -> m (target "m") or m -> p (target "p") at degree d, read off the
+    h/p maps through <m_mu, h_nu> = delta and <p_lam, p_nu> = z_lam delta:
+    [m_mu] p_lam = z_lam [p_lam] h_mu and [p_lam] m_mu = [h_mu] p_lam / z_lam."""
+    parts = partitions_of(d)
+    rows: dict = {lam: {} for lam in parts}
+    if target == "m":
+        for mu in parts:
+            for lam, c in _map_terms({mu: 1}, "h", "p", d).items():
+                rows[lam][mu] = c * z_of(lam)
+    else:
+        for lam in parts:
+            for mu, c in _map_terms({lam: 1}, "p", "h", d).items():
+                rows[mu][lam] = c / z_of(lam)
+    return rows
+
+
+def _apply_matrix(terms: dict, matrix: dict) -> dict:
+    out: dict[Partition, Fraction] = {}
+    for lam, c in terms.items():
+        for mu, entry in matrix[lam].items():
+            out[mu] = out.get(mu, Fraction(0)) + c * entry
+    return {mu: c for mu, c in out.items() if c}
+
+
 def _convert_homogeneous(terms: dict, source: str, target: str, d: int) -> dict:
     """Convert a degree-d homogeneous term dict between bases."""
     if source == target:
@@ -516,22 +597,16 @@ def _convert_homogeneous(terms: dict, source: str, target: str, d: int) -> dict:
                     if chi:
                         out[lam] = out.get(lam, Fraction(0)) + c * chi
         return {lam: c for lam, c in out.items() if c}
-    # pivot through the monomial basis
+    if "p" in (source, target):
+        if "m" in (source, target):
+            return _apply_matrix(terms, _hall_rows(target, d))
+        return _map_terms(terms, source, target, d)
+    # e <-> h and e/h <-> m pivot through the monomial basis
     if source != "m":
-        matrix = _to_m_matrix(source, d)
-        mterms: dict[Partition, Fraction] = {}
-        for lam, c in terms.items():
-            for mu, entry in matrix[lam].items():
-                mterms[mu] = mterms.get(mu, Fraction(0)) + c * entry
-        terms = {lam: c for lam, c in mterms.items() if c}
+        terms = _apply_matrix(terms, _to_m_matrix(source, d))
         if target == "m":
             return terms
-    matrix = _from_m_matrix(target, d)
-    out = {}
-    for mu, c in terms.items():
-        for lam, entry in matrix[mu].items():
-            out[lam] = out.get(lam, Fraction(0)) + c * entry
-    return {lam: c for lam, c in out.items() if c}
+    return _apply_matrix(terms, _from_m_matrix(target, d))
 
 
 def convert(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
@@ -558,14 +633,8 @@ def multiply(f: SymFunc, g: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     _check_cap(f.degree() + g.degree(), cap)
     # multiplicative bases concatenate partitions; m and s pivot through one
     work = f.basis if f.basis in ("e", "h", "p") else ("p" if f.basis == "s" else "e")
-    a = convert(f, work, cap)
-    b = convert(g, work, cap)
-    out: dict[Partition, Fraction] = {}
-    for lam, c in a.terms.items():
-        for mu, d in b.terms.items():
-            key = tuple(sorted(lam + mu, reverse=True))
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return convert(SymFunc(work, out), f.basis, cap)
+    product = _Terms(convert(f, work, cap).terms) * _Terms(convert(g, work, cap).terms)
+    return convert(SymFunc(work, product), f.basis, cap)
 
 
 def omega(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:

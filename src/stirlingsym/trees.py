@@ -20,7 +20,7 @@ so the blocks are chains, and their sizes
 :func:`analyze` is the only walk over a tree: one pass records each
 internal node in preorder with its children and chain flag, computing
 valencies bottom-up, and raises ValueError on a tree that is not normalized.
-The types, the colorings and :func:`is_normalized` all read its records.
+The types and the colorings read its records.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def leaves(t) -> list[int]:
     if is_leaf(t):
         return [t]
     return leaves(t[0]) + leaves(t[1])
-
-
-def valency(t) -> int:
-    """Smallest leaf label of the subtree."""
-    return t if is_leaf(t) else min(valency(t[0]), valency(t[1]))
 
 
 def _tree_sort_key(t):
@@ -144,30 +139,6 @@ def analyze(t) -> list[_NodeInfo]:
 
     visit(t)
     return info
-
-
-def is_normalized(t) -> bool:
-    """Whether every subtree's smallest label sits in its leftmost leaf; one
-    pass of :func:`analyze`."""
-    try:
-        analyze(t)
-    except ValueError:
-        return False
-    return True
-
-
-def is_lyndon_node(node) -> bool:
-    """Chain-node predicate for an internal node given as a subtree.
-
-    A node whose left child is a leaf qualifies by convention (the defining
-    inequality has nothing to compare).
-    """
-    if is_leaf(node):
-        raise ValueError("leaves are not internal nodes")
-    left, right = node
-    if is_leaf(left):
-        return True
-    return valency(left[1]) > valency(right)
 
 
 def tree_type(t, kind: str) -> Partition:
@@ -424,17 +395,6 @@ def tree_to_json(t, colors: dict | None = None):
         return {"node": data}
 
     return build(t)
-
-
-def colored_tree_to_json(ct: ColoredTree):
-    return tree_to_json(ct.tree, dict(enumerate(ct.colors)))
-
-
-def tree_from_json(data) -> Tree:
-    if "leaf" in data:
-        return int(data["leaf"])
-    node = data["node"]
-    return (tree_from_json(node["left"]), tree_from_json(node["right"]))
 
 
 def render_tree(t, indent: int = 0) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -286,6 +287,31 @@ def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(stirling, "_type_tally", lambda n, r: (((n,), 1),))
     code, out, _ = run(capsys, "expand", "--n", str(stirling.TYPE_SUM_MAX_N), "--r", "2")
     assert (code, out) == (0, f"e({stirling.TYPE_SUM_MAX_N})\n")
+
+
+def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("no d-variable transition matrix may be built")
+
+    monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
+    monkeypatch.setattr(symfunc, "_from_m_matrix", no_matrix)
+    for basis, digest in [
+        ("s", "de83f5fcea87f972cbd310f0a1903e38df129f49f5e3ebd090eb052c0b95205d"),
+        ("p", "7fd50ff9f98eda932d9a61aef1f2cf0b25d507fc0c9d2a701e22011de792a724"),
+    ]:
+        code, out, err = run(capsys, "expand", "--n", "8", "--r", "2", "--basis", basis)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    with pytest.raises(symfunc.DegreeCapError, match="degree 9 exceeds the cap 8"):
+        symfunc.convert(symfunc.basis_element("e", (9,)), "p")
+
+    def no_tally(n, r):
+        raise AssertionError("the type recurrence must not start")
+
+    monkeypatch.setattr(stirling, "_type_tally", no_tally)
+    code, out, err = run(capsys, "expand", "--n", "9", "--r", "2", "--basis", "p")
+    assert (code, out) == (2, "")
+    assert "degree 9 exceeds the cap 8" in err
 
 
 @pytest.mark.parametrize(

@@ -9,20 +9,35 @@ from stirlingsym import cli, stirling
 from stirlingsym.partitions import chain_type
 from stirlingsym.stirling import (
     StirlingPerm,
-    block,
     enumerate_stirling,
     enumerate_stirling_backtrack,
     eulerian_brute_force,
     eulerian_polynomial,
     reverse,
-    ring_segments,
-    stats,
     stirling_symfunc,
     type_of,
 )
 from stirlingsym.symfunc import SymFunc, TPoly, convert, specialize_E
 
-from expansion_tables import STATS_TABLE_N3
+from expansion_tables import STATS_TABLE_N3, stats
+
+
+def occurrences(sp, a):
+    if not 1 <= a <= sp.n:
+        raise ValueError(f"letter {a} out of range 1..{sp.n}")
+    return [i for i, x in enumerate(sp.word) if x == a]
+
+
+def block(sp, a):
+    """Index range [start, end] of the block of letter a (inclusive)."""
+    occ = occurrences(sp, a)
+    return occ[0], occ[-1]
+
+
+def ring_segments(sp, a):
+    """The r-1 (possibly empty) subwords between consecutive occurrences of a."""
+    occ = occurrences(sp, a)
+    return [tuple(sp.word[occ[j] + 1 : occ[j + 1]]) for j in range(sp.r - 1)]
 
 
 def is_nested(word):

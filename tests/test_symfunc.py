@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from math import factorial, gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import stirlingsym.symfunc as symfunc
 from stirlingsym.partitions import conjugate, partitions_of, z_of
 from stirlingsym.symfunc import (
     BASES,
@@ -97,6 +99,62 @@ def test_newton_identity():
             )
             total = total + (-1) ** (i - 1) * term
         assert total == n * basis_element("e", (n,))
+
+
+def power_sum_poly(k, d):
+    """p_k expanded in exactly d variables."""
+    return {tuple(k if j == i else 0 for j in range(d)): 1 for i in range(d)}
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_expansion(basis, lam):
+    """Oracle: the m-expansion of one basis element of degree d = |lam|.
+
+    p_lam is expanded in d variables, which is faithful at degree d, and read
+    at partition exponents; s_lam goes to p by characters; e_lam and h_lam
+    are rows of the d-variable matrices that the package keeps for them.
+    """
+    d = sum(lam)
+    if basis == "m":
+        return {lam: Fraction(1)}
+    if basis in ("e", "h"):
+        return symfunc._to_m_matrix(basis, d)[lam]
+    out = {}
+    if basis == "s":
+        for mu in partitions_of(d):
+            weight = Fraction(character(lam, mu), z_of(mu))
+            for nu, c in monomial_expansion("p", mu).items():
+                out[nu] = out.get(nu, 0) + weight * c
+    else:
+        poly = {(0,) * d: 1}
+        for part in lam:
+            poly = symfunc._poly_mul(poly, power_sum_poly(part, d))
+        for mu in partitions_of(d):
+            out[mu] = Fraction(poly.get(mu + (0,) * (d - len(mu)), 0))
+    return {mu: c for mu, c in out.items() if c}
+
+
+def m_pivot(f):
+    """Oracle: f in the monomial basis, term by term."""
+    out = {}
+    for lam, c in f.terms.items():
+        for mu, entry in monomial_expansion(f.basis, lam).items():
+            out[mu] = out.get(mu, 0) + c * entry
+    return {mu: c for mu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_conversions_with_p_or_s_at_one_end_match_the_m_pivot(d):
+    # every basis has an invertible transition to m at degree d, so two
+    # elements agree exactly when their m-expansions do
+    pairs = [(a, b) for a in BASES for b in BASES if a != b and {a, b} & {"p", "s"}]
+    assert len(pairs) == 14
+    for source, target in pairs:
+        for lam in partitions_of(d):
+            x = basis_element(source, lam)
+            y = convert(x, target)
+            assert y.basis == target
+            assert m_pivot(y) == m_pivot(x), (source, target, lam)
 
 
 def random_symfunc(rng, max_degree, basis=None):
@@ -239,8 +297,6 @@ def test_algebra_maps_match_the_conversion_route(basis, terms, images):
 
 
 def test_algebra_maps_need_no_conversion_for_multiplicative_bases(monkeypatch):
-    import stirlingsym.symfunc as symfunc
-
     def refuse(*args):
         raise AssertionError("no transition matrix may be built")
 
@@ -293,6 +349,8 @@ def test_degree_cap_fails_loudly():
     assert multiply(f, basis_element("e", (4,)), cap=9) == basis_element(
         "e", (5, 4)
     )
+    e9 = basis_element("e", (9,))
+    assert convert(convert(e9, "p", cap=9), "e", cap=9) == e9
 
 
 def test_mixed_degree_elements():

@@ -13,23 +13,18 @@ from stirlingsym.trees import (
     ColoredTree,
     analyze,
     colored_generating_function,
-    colored_tree_to_json,
     comb_type,
     enumerate_colored,
     enumerate_normalized,
     forbidden_tree_egf,
     forbidden_trees,
     is_leaf,
-    is_lyndon_node,
-    is_normalized,
     leaves,
     lyndon_type,
     render_tree,
-    tree_from_json,
     tree_to_json,
     tree_type,
     type_generating_function,
-    valency,
 )
 
 
@@ -38,6 +33,47 @@ def double_factorial(k):
     for odd in range(1, k + 1, 2):
         out *= odd
     return out
+
+
+def valency(t):
+    """Smallest leaf label of the subtree."""
+    return t if is_leaf(t) else min(valency(t[0]), valency(t[1]))
+
+
+def is_normalized(t):
+    """Whether every subtree's smallest label sits in its leftmost leaf; one
+    pass of :func:`analyze`."""
+    try:
+        analyze(t)
+    except ValueError:
+        return False
+    return True
+
+
+def is_lyndon_node(node):
+    """Oracle: the chain-node predicate for an internal node given as a
+    subtree, valencies recomputed.
+
+    A node whose left child is a leaf qualifies by convention (the defining
+    inequality has nothing to compare).
+    """
+    if is_leaf(node):
+        raise ValueError("leaves are not internal nodes")
+    left, right = node
+    if is_leaf(left):
+        return True
+    return valency(left[1]) > valency(right)
+
+
+def tree_from_json(data):
+    if "leaf" in data:
+        return int(data["leaf"])
+    node = data["node"]
+    return (tree_from_json(node["left"]), tree_from_json(node["right"]))
+
+
+def colored_tree_to_json(ct):
+    return tree_to_json(ct.tree, dict(enumerate(ct.colors)))
 
 
 def recursive_is_normalized(t):
