@@ -95,9 +95,11 @@ def _invert(r: int, series: TruncatedSeries) -> TruncatedSeries:
 
 
 def _ogf(order: int, fn) -> TruncatedSeries:
-    """OGF over the h basis with coefficients fn(n); the twin of symfunc_egf."""
-    coeffs = [convert(fn(n), "h") for n in range(order + 1)]
-    return TruncatedSeries.from_coefficients(SymFuncRing(basis="h"), "ogf", order, coeffs)
+    """OGF with coefficients fn(n), read in the power-sum basis; the twin of
+    symfunc_egf.  e and h reach p through their closed forms, and products
+    in p join partitions, so the series checks build no transition matrix."""
+    coeffs = [convert(fn(n), "p") for n in range(order + 1)]
+    return TruncatedSeries.from_coefficients(SymFuncRing(basis="p"), "ogf", order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +168,8 @@ def check_prop11(order: int = 6) -> VerificationReport:
 def check_prop12(order: int = 6) -> VerificationReport:
     """OGF: the compositional inverse of the shifted alternating h series is
     the series of noncrossing-partition e-sums."""
-    # convert meets the cap at e-sum order - 1 only after building the
-    # matrices of every smaller degree
+    # convert would meet the cap at h_(order - 1) only after the Catalan
+    # counts below and the conversions of every smaller degree
     _check_cap(order - 1, DEFAULT_DEGREE_CAP)
 
     def cases():
@@ -191,8 +193,8 @@ def check_prop12(order: int = 6) -> VerificationReport:
 
 def _egf_check(identity: str, r: int, order: int) -> VerificationReport:
     """EGF: the inverse of family r's h series holds F(n-s, r) at y^n/n!."""
-    lhs = _invert(r, symfunc_egf(order, lambda n: _h_coefficient(r, n)))
-    rhs = symfunc_egf(order, lambda n: _type_sum(r, n))
+    lhs = _invert(r, symfunc_egf(order, lambda n: _h_coefficient(r, n), "p"))
+    rhs = symfunc_egf(order, lambda n: _type_sum(r, n), "p")
     return series_report(identity, {"order": order}, lhs, rhs)
 
 

@@ -267,6 +267,8 @@ def _validate_kind(kind: str, j: int, r: int) -> None:
         raise ValueError(f"unknown type kind {kind!r}")
     if kind in ("TN", "IN") and not 1 <= j <= r - 1:
         raise ValueError(f"j must be in 1..{r - 1}")
+    if kind in ("AA", "DA") and j != 1:
+        raise ValueError(f"kind {kind} takes no j; j must be 1, got {j}")
 
 
 @lru_cache(maxsize=None)

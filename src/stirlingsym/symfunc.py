@@ -248,6 +248,9 @@ class TPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its rational, so it must hash like it
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -344,7 +347,8 @@ class SymFunc:
     """Basis-tagged finite linear combination of partition-indexed terms.
 
     ``terms`` maps partitions to nonzero Fractions.  Equality is mathematical
-    (independent of the basis tag).  Mixed-degree elements are allowed.
+    (independent of the basis tag; two bases are compared in p).  Mixed-degree
+    elements are allowed.
     """
 
     __slots__ = ("basis", "terms")
@@ -429,7 +433,7 @@ class SymFunc:
             return NotImplemented
         if self.basis == other.basis:
             return self.terms == other.terms
-        return convert(self, "m").terms == convert(other, "m").terms
+        return convert(self, "p").terms == convert(other, "p").terms
 
     __hash__ = None
 

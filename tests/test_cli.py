@@ -244,8 +244,11 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
      "_down_sets", _CAP_REFUSAL),
     (["expand", "--n", "30", "--r", "2", "--basis", "m"], stirling, "_type_tally",
      _EXPAND_CAP_REFUSAL),
+    (["expand", "--n", "4", "--r", "2", "--kind", "DA", "--j", "5"], stirling,
+     "_type_tally", "kind DA takes no j; j must be 1, got 5"),
 ], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "lemma52", "invert", "forbidden",
-        "prop12", "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand"])
+        "prop12", "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand",
+        "expand-j"])
 def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
                                            message):
     def no_work(*args):
@@ -312,6 +315,44 @@ def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monk
     code, out, err = run(capsys, "expand", "--n", "9", "--r", "2", "--basis", "p")
     assert (code, out) == (2, "")
     assert "degree 9 exceeds the cap 8" in err
+
+
+@pytest.mark.parametrize("identity, order, digest", [
+    ("prop11", "8", "698ee2c588dcf0846908a50cc694187ecd73d54ae883b9cccf42f6ca1d3f4da7"),
+    ("prop12", "9", "96617b3c4487f4043407adef0752d699a715b1c7335126ffa3bd2c82900eb387"),
+    ("thm13", "8", "bdbbf0e1563ed83d8bc97399394cdbce08b19ab18455c723b275a4a0fee0e567"),
+    ("thm14", "9", "8aca4015acd70f51c5ca0013665b8ffcb92e86a799d622a97acb5183d17bd8fa"),
+])
+def test_series_checks_build_no_variable_expansion(capsys, monkeypatch, identity, order,
+                                                   digest):
+    # both sides are read in p, where e_k and h_k have closed forms
+    def no_matrix(*args):
+        raise AssertionError("no d-variable transition matrix may be built")
+
+    monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
+    monkeypatch.setattr(symfunc, "_from_m_matrix", no_matrix)
+    code, out, err = run(capsys, "verify", "--identity", identity, "--order", order,
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_series_check_in_p_sees_a_wrong_closed_form(monkeypatch):
+    # flip the sign of p(4)/4 in the closed form of e_4: the e side of prop11
+    # moves at y^4 while the h side does not
+    image = symfunc._power_sum_image
+
+    def flipped(family, k):
+        terms = image(family, k)
+        if (family, k) == ("e", 4):
+            terms = symfunc._Terms(terms)
+            terms[(4,)] = -terms[(4,)]
+        return terms
+
+    monkeypatch.setattr(symfunc, "_power_sum_image", flipped)
+    report = identities.check_prop11(8)
+    assert not report.passed
+    assert report.discrepancy["location"].startswith("y^4, p(4)")
 
 
 @pytest.mark.parametrize(

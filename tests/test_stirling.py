@@ -329,6 +329,10 @@ def test_bad_kind_is_rejected():
         stirling_symfunc(3, 2, "TN", 2)
     with pytest.raises(ValueError):
         stirling_symfunc(3, 2, "XX")
+    # j is an argument of TN and IN only
+    for kind in ("AA", "DA"):
+        with pytest.raises(ValueError, match=f"kind {kind} takes no j"):
+            stirling_symfunc(4, 2, kind, 5)
 
 
 def test_production_route_builds_no_word(monkeypatch, capsys):

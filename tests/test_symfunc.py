@@ -106,19 +106,51 @@ def power_sum_poly(k, d):
     return {tuple(k if j == i else 0 for j in range(d)): 1 for i in range(d)}
 
 
+def row_fillings(k, caps, binary):
+    """Every row of entries at most ``caps`` (and at most 1 when ``binary``)
+    that sums to k."""
+    if not caps:
+        if not k:
+            yield ()
+        return
+    for x in range(min(k, caps[0], 1 if binary else k) + 1):
+        for rest in row_fillings(k - x, caps[1:], binary):
+            yield (x,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def margin_count(rows, cols, binary):
+    """Oracle: the number of matrices with row sums ``rows`` and column sums
+    ``cols`` whose entries are 0 or 1 (``binary``) or any natural number.
+
+    [m_mu] e_lam counts the 0-1 matrices with margins (lam, mu), and
+    [m_mu] h_lam the N-matrices (Stanley, EC2 7.4.1 and 7.5.1).  Rows are
+    filled one at a time; columns are interchangeable, so the column sums
+    left over are kept as a partition.
+    """
+    if not rows:
+        return int(not cols)
+    total = 0
+    for fill in row_fillings(rows[0], cols, binary):
+        rest = sorted((c - f for c, f in zip(cols, fill) if c > f), reverse=True)
+        total += margin_count(rows[1:], tuple(rest), binary)
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def monomial_expansion(basis, lam):
     """Oracle: the m-expansion of one basis element of degree d = |lam|.
 
     p_lam is expanded in d variables, which is faithful at degree d, and read
     at partition exponents; s_lam goes to p by characters; e_lam and h_lam
-    are rows of the d-variable matrices that the package keeps for them.
+    count matrices with margins (lam, mu).
     """
     d = sum(lam)
     if basis == "m":
         return {lam: Fraction(1)}
     if basis in ("e", "h"):
-        return symfunc._to_m_matrix(basis, d)[lam]
+        counts = {mu: margin_count(lam, mu, basis == "e") for mu in partitions_of(d)}
+        return {mu: Fraction(c) for mu, c in counts.items() if c}
     out = {}
     if basis == "s":
         for mu in partitions_of(d):
@@ -132,6 +164,14 @@ def monomial_expansion(basis, lam):
         for mu in partitions_of(d):
             out[mu] = Fraction(poly.get(mu + (0,) * (d - len(mu)), 0))
     return {mu: c for mu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("basis", ["e", "h"])
+def test_e_and_h_in_m_count_matrices_with_given_margins(basis):
+    for d in range(9):
+        for lam in partitions_of(d):
+            got = convert(basis_element(basis, lam), "m")
+            assert got.terms == monomial_expansion(basis, lam), lam
 
 
 def m_pivot(f):
@@ -155,6 +195,20 @@ def test_conversions_with_p_or_s_at_one_end_match_the_m_pivot(d):
             y = convert(x, target)
             assert y.basis == target
             assert m_pivot(y) == m_pivot(x), (source, target, lam)
+
+
+def test_cross_basis_equality_compares_in_p(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("no d-variable transition matrix may be built")
+
+    monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
+    monkeypatch.setattr(symfunc, "_from_m_matrix", no_matrix)
+    h2 = basis_element("h", (2,))
+    assert h2 == SymFunc("e", {(1, 1): 1, (2,): -1})
+    assert h2 != basis_element("e", (2,))
+    assert h2 == SymFunc("m", {(2,): 1, (1, 1): 1})
+    assert basis_element("s", (2, 1)) == SymFunc("m", {(2, 1): 1, (1, 1, 1): 2})
+    assert basis_element("e", (8,)) == SymFunc("m", {(1,) * 8: 1})
 
 
 def random_symfunc(rng, max_degree, basis=None):
@@ -399,6 +453,15 @@ def test_tpoly_basics():
     assert str(TPoly({1: 1, 2: 8, 3: 6})) == "t + 8*t^2 + 6*t^3"
     assert str(TPoly()) == "0"
     assert TPoly.from_json(p.to_json()) == p
+
+
+def test_constants_hash_like_their_rationals():
+    # equal objects must hash alike, or sets and dicts keep both
+    for c in (0, 1, -3, Fraction(1, 2)):
+        assert TPoly.const(c) == c
+        assert hash(TPoly.const(c)) == hash(c)
+        assert len({TPoly.const(c), c}) == 1
+    assert len({T, TPoly.t(), ONE}) == 2
 
 
 def naive_tpoly_product(a, b):
