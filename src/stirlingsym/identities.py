@@ -421,15 +421,17 @@ def check_equicardinality(weight: int = 4) -> VerificationReport:
 
 def check_forbidden(order: int = 5) -> VerificationReport:
     """Signed EGFs of the forbidden chains equal the alternating h series."""
-    # the reference below would meet the cap at h_(order-1) only after
-    # building the matrices of every smaller degree
+    # refuse an order whose reference h_(order-1) exceeds the cap before the
+    # chains are enumerated
     _check_cap(order - 1, DEFAULT_DEGREE_CAP)
 
     def cases():
         for kind in ("lyn", "comb"):
             got = forbidden_tree_egf(kind, order)
+            # the reference stays in p, which h reaches through its closed
+            # form; the comparison with the m-basis enumeration is made in p
             for n in range(order + 1):
-                yield f"{kind} y^{n}", got.egf_coefficient(n), _h_coefficient(2, n, "m")
+                yield f"{kind} y^{n}", got.egf_coefficient(n), _h_coefficient(2, n, "p")
 
     return first_mismatch("forbidden", {"order": order}, cases())
 

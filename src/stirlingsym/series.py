@@ -9,19 +9,24 @@ presentation boundary (:meth:`TruncatedSeries.egf_coefficient` and the
 and composition are the same Cauchy/substitution formulas for both flavors.
 
 The coefficient ring is one :class:`Ring`: a name, its one, a map to an
-element's constant term and a product.  Ring elements support ``+``, ``-``,
-``==``, truth testing (false exactly at zero) and multiplication by a
-rational; every product of two elements goes through ``Ring.mul``, so a ring
-can bound it.  The paper's inversion identities are read over three rings:
-Q (:data:`QQ`), Q[t] (:data:`QT`) and the symmetric functions
-(:func:`SymFuncRing`).  In each the units are the nonzero rational constants.
+element's constant term and a product kernel.  Ring elements support ``+``,
+``-``, ``==``, truth testing (false exactly at zero) and multiplication by a
+rational; every product of elements goes through ``Ring.dot``, the sum
+x_1 y_1 + ... + x_k y_k of pairwise products, so a ring can bound each product
+and accumulate the sum in its own representation: over Q and Q[t] in
+integers, reduced once per result.  Each coefficient of a series product or
+multiplicative inverse is one ``dot``.  The paper's inversion identities are
+read over three rings: Q (:data:`QQ`), Q[t] (:data:`QT`) and the symmetric
+functions (:func:`SymFuncRing`).  In each the units are the nonzero rational
+constants.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import factorial, lcm
 
 from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, TPoly, convert, multiply
 
@@ -32,17 +37,22 @@ class Ring:
     """A coefficient ring whose units are the nonzero rational constants.
 
     ``one`` is the ring's one, ``constant(a)`` the rational constant term of
-    an element and ``mul`` the product of two elements.
+    an element and ``dot(xs, ys)`` the sum of the pairwise products of two
+    equally long sequences of elements (zero when they are empty).
     """
 
-    __slots__ = ("name", "_one", "_zero", "constant", "mul")
+    __slots__ = ("name", "_one", "_zero", "constant", "dot")
 
-    def __init__(self, name: str, one, constant, mul=operator.mul):
+    def __init__(self, name: str, one, constant, dot):
         self.name = name
         self._one = one
         self._zero = one * 0
         self.constant = constant
-        self.mul = mul
+        self.dot = dot
+
+    def mul(self, a, b):
+        """The product of two elements, the one-pair ``dot``."""
+        return self.dot((a,), (b,))
 
     def zero(self):
         return self._zero
@@ -66,8 +76,25 @@ class Ring:
         return self._one * (Fraction(1) / self.constant(a))
 
 
-QQ = Ring("Q", Fraction(1), lambda a: a)
-QT = Ring("Q[t]", TPoly.const(1), lambda a: a.coeffs.get(0, 0))
+def _rational_dot(xs, ys) -> Fraction:
+    """sum x_i * y_i over Q: the integer numerators are summed over one
+    running lcm of the denominators, and one Fraction is built at the end."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        n = x.numerator * y.numerator
+        if not n:
+            continue
+        d = x.denominator * y.denominator
+        if den % d:
+            grown = lcm(den, d)
+            num *= grown // den
+            den = grown
+        num += n * (den // d)
+    return Fraction(num, den)
+
+
+QQ = Ring("Q", Fraction(1), lambda a: a, _rational_dot)
+QT = Ring("Q[t]", TPoly.const(1), lambda a: a.coeffs.get(0, 0), TPoly.dot)
 
 
 def SymFuncRing(basis: str = "h", cap: int = DEFAULT_DEGREE_CAP) -> Ring:
@@ -75,8 +102,13 @@ def SymFuncRing(basis: str = "h", cap: int = DEFAULT_DEGREE_CAP) -> Ring:
 
     Products formed through the ring are capped at degree ``cap``.
     """
-    return Ring(f"Lambda[{basis}]", SymFunc.one(basis), SymFunc.constant_term,
-                lambda a, b: multiply(a, b, cap))
+    zero = SymFunc.zero(basis)
+
+    def dot(xs, ys):
+        products = [multiply(x, y, cap) for x, y in zip(xs, ys) if x and y]
+        return reduce(operator.add, products) if products else zero
+
+    return Ring(f"Lambda[{basis}]", SymFunc.one(basis), SymFunc.constant_term, dot)
 
 
 class TruncatedSeries:
@@ -187,32 +219,28 @@ class TruncatedSeries:
         return self.mul(other)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at the common order."""
+        """Cauchy product truncated at the common order, one ``Ring.dot``
+        per output coefficient."""
         self._compatible(other)
-        zero = self.ring.zero()
-        out = [zero for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if self.ring.is_zero(a):
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not self.ring.is_zero(b):
-                    out[i + j] = out[i + j] + self.ring.mul(a, b)
-        return TruncatedSeries(self.ring, self.flavor, self.order, out)
+        a, b, dot = self.coeffs, other.coeffs, self.ring.dot
+        return TruncatedSeries(
+            self.ring,
+            self.flavor,
+            self.order,
+            [dot(a[: n + 1], b[n::-1]) for n in range(self.order + 1)],
+        )
 
     def inv(self) -> "TruncatedSeries":
-        """Multiplicative inverse via the triangular Cauchy recurrence."""
-        a0 = self.coeffs[0]
-        if not self.ring.is_unit(a0):
+        """Multiplicative inverse via the triangular Cauchy recurrence, one
+        ``Ring.dot`` per coefficient."""
+        ring, a = self.ring, self.coeffs
+        if not ring.is_unit(a[0]):
             raise ValueError("constant term is not a unit; no multiplicative inverse")
-        inv0 = self.ring.invert(a0)
+        inv0 = ring.invert(a[0])
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for k in range(1, n + 1):
-                acc = acc + self.ring.mul(self.coeffs[k], out[n - k])
-            out.append(-self.ring.mul(inv0, acc))
-        return TruncatedSeries(self.ring, self.flavor, self.order, out)
+            out.append(-ring.mul(inv0, ring.dot(a[1 : n + 1], out[::-1])))
+        return TruncatedSeries(ring, self.flavor, self.order, out)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitution self(inner(y)), truncated; inner must kill constants."""
@@ -235,11 +263,12 @@ class TruncatedSeries:
         coefficient.  Write self = y q(y) and h = 1/q; the inverse g has
         [y^n] g = [y^(n-1)] h^n / n (Brent and Kung, "Fast algorithms for
         manipulating formal power series", JACM 1978).  That is one
-        multiplicative inverse and N truncated products, O(N^3) ring products
-        in all.  h is taken at order N-1, never N: over the symmetric
-        functions its y^k coefficient can have degree k, and a degree-N
-        coefficient could exceed the ring's cap although every coefficient
-        of g stays within it.
+        multiplicative inverse and N truncated products: O(N^2) ``Ring.dot``
+        calls over O(N^3) pairwise products in all, and over Q and Q[t] each
+        dot sums in integers and reduces once.  h is taken at order N-1,
+        never N: over the symmetric functions its y^k coefficient can have
+        degree k, and a degree-N coefficient could exceed the ring's cap
+        although every coefficient of g stays within it.
         """
         ring = self.ring
         if self.order < 1:

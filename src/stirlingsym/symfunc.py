@@ -209,16 +209,10 @@ def character(lam, mu) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integer_terms(coeffs: dict) -> tuple[int, list[tuple[int, int]]]:
-    """(L, [(e, L*c)]) with L the lcm of the denominators of ``coeffs``."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()]
-
-
 class TPoly:
     """Polynomial in one variable t with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_integer_form")
 
     def __init__(self, coeffs=None):
         data: dict[int, Fraction] = {}
@@ -279,22 +273,53 @@ class TPoly:
             return TPoly({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, TPoly):
             return NotImplemented
-        # convolve integer numerators over the common denominator da*db, then
-        # reduce once per output term instead of once per partial product
-        da, a = _integer_terms(self.coeffs)
-        db, b = _integer_terms(other.coeffs)
-        acc: dict[int, int] = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
-        den = da * db
+        return TPoly.dot((self,), (other,))
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs, ys) -> "TPoly":
+        """sum x_i * y_i over the pairs of ``xs`` and ``ys``.
+
+        The integer numerators are convolved over one running common
+        denominator, rescaled whenever a pair's denominator does not divide
+        it, and reduced once per output term instead of once per partial
+        product.
+        """
+        den, acc = 1, {}
+        for x, y in zip(xs, ys):
+            if not (x.coeffs and y.coeffs):
+                continue
+            dx, a = x._integer_terms()
+            dy, b = y._integer_terms()
+            d = dx * dy
+            if den % d:
+                grown = lcm(den, d)
+                acc = {e: c * (grown // den) for e, c in acc.items()}
+                den = grown
+            k = den // d
+            for ea, ca in a:
+                ca *= k
+                for eb, cb in b:
+                    acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
         out = TPoly()
         out.coeffs = {e: Fraction(c, den) for e, c in acc.items() if c}
         return out
 
-    __rmul__ = __mul__
+    def _integer_terms(self) -> tuple[int, list[tuple[int, int]]]:
+        """(L, [(e, L*c)]) with L the lcm of the denominators, computed once
+        per polynomial (elements are immutable)."""
+        try:
+            return self._integer_form
+        except AttributeError:
+            den = lcm(*(c.denominator for c in self.coeffs.values()))
+            self._integer_form = den, [(e, c.numerator * (den // c.denominator))
+                                       for e, c in self.coeffs.items()]
+            return self._integer_form
 
     def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
         out = TPoly.const(1)
         for _ in range(n):
             out = out * self

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stirlingsym.partitions import partitions_of
 from stirlingsym.series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
+from stirlingsym.stirling import eulerian_polynomial
 from stirlingsym.symfunc import (
     DEFAULT_DEGREE_CAP,
     DegreeCapError,
@@ -22,10 +23,13 @@ ORDER = 6
 
 
 def random_element(ring, rng, max_degree=3):
+    # rationals over Q and Q[t] draw their denominators independently, so
+    # sums of products meet unequal denominators
     if ring is QQ:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
     if ring is QT:
-        return TPoly({e: rng.randint(-4, 4) for e in range(rng.randint(0, 3))})
+        return TPoly({e: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                      for e in range(rng.randint(0, 3))})
     terms = {}
     for _ in range(rng.randint(0, 3)):
         d = rng.randint(0, max_degree)
@@ -190,6 +194,129 @@ def test_symfunc_ring_cap_bounds_products():
         square(9)
     with pytest.raises(DegreeCapError, match="cap 8"):
         square(DEFAULT_DEGREE_CAP)
+
+
+def naive_product(ring, a, b):
+    """Oracle: one product by definition, the Fraction product over Q and
+    the Fraction convolution over Q[t]; over Lambda the ring's own capped
+    product."""
+    if ring is QQ:
+        return a * b
+    if ring is QT:
+        out = {}
+        for ea, ca in a.coeffs.items():
+            for eb, cb in b.coeffs.items():
+                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+        return TPoly(out)
+    return ring.mul(a, b)
+
+
+def pairwise_mul(f, g):
+    """Oracle: the Cauchy product added up one ring product at a time."""
+    ring = f.ring
+    out = [ring.zero()] * (f.order + 1)
+    for i, a in enumerate(f.coeffs):
+        for j in range(f.order + 1 - i):
+            out[i + j] = out[i + j] + naive_product(ring, a, g.coeffs[j])
+    return TruncatedSeries(ring, f.flavor, f.order, out)
+
+
+def pairwise_inv(f):
+    """Oracle: the triangular Cauchy recurrence, one ring product at a time."""
+    ring = f.ring
+    inv0 = ring.invert(f.coeffs[0])
+    out = [inv0]
+    for n in range(1, f.order + 1):
+        acc = ring.zero()
+        for k in range(1, n + 1):
+            acc = acc + naive_product(ring, f.coeffs[k], out[n - k])
+        out.append(-naive_product(ring, inv0, acc))
+    return TruncatedSeries(ring, f.flavor, f.order, out)
+
+
+def pairwise_compose(f, g):
+    """Oracle: f(g) as the sum of f_k g^k, the powers by ``pairwise_mul``."""
+    ring = f.ring
+    out = [f.coeffs[0]] + [ring.zero()] * f.order
+    power = TruncatedSeries.one(ring, f.flavor, f.order)
+    for k in range(1, f.order + 1):
+        power = pairwise_mul(power, g)
+        for n in range(f.order + 1):
+            out[n] = out[n] + naive_product(ring, f.coeffs[k], power.coeffs[n])
+    return TruncatedSeries(ring, f.flavor, f.order, out)
+
+
+# with deg(a_n) <= n-1 every product of an order-10 mul, inv or compose stays
+# within degree 9; the h basis multiplies by joining partitions
+PRODUCT_RINGS = [QQ, QT, SymFuncRing(basis="h", cap=10)]
+
+
+def sparse_series_coeffs(ring, rng, order):
+    """Random coefficients of which about a third are zero."""
+    return [ring.zero() if rng.random() < 0.35 else c
+            for c in random_series_coeffs(ring, rng, order)]
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("order", range(11))
+def test_series_products_match_pairwise_oracle(ring, order):
+    rng = random.Random(1000 * order + len(ring.name))
+    for _ in range(3):
+        f = TruncatedSeries(ring, "ogf", order, sparse_series_coeffs(ring, rng, order))
+        g = TruncatedSeries(ring, "egf", order, sparse_series_coeffs(ring, rng, order))
+        assert f.mul(f) == pairwise_mul(f, f)
+        assert g.mul(g) == pairwise_mul(g, g)
+        unit_led = TruncatedSeries(ring, "ogf", order,
+                                   (random_unit(ring, rng),) + f.coeffs[1:])
+        assert unit_led.inv() == pairwise_inv(unit_led)
+        assert unit_led.mul(f) == pairwise_mul(unit_led, f)
+        inner = TruncatedSeries(ring, "ogf", order, (ring.zero(),) + f.coeffs[1:])
+        assert unit_led.compose(inner) == pairwise_compose(unit_led, inner)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS + [SymFuncRing(basis="m")],
+                         ids=lambda r: r.name)
+def test_ring_dot_is_the_sum_of_pairwise_products(ring):
+    zero = ring.zero()
+    rng = random.Random(len(ring.name))
+    assert same(ring.dot((), ()), zero)
+    others = [random_element(ring, rng) for _ in range(4)]
+    assert same(ring.dot([zero] * 4, others), zero)
+    assert same(ring.dot(others, [zero] * 4), zero)
+    for length in range(1, 8):
+        xs = [random_element(ring, rng) for _ in range(length)]
+        ys = [random_element(ring, rng) for _ in range(length)]
+        expected = zero
+        for x, y in zip(xs, ys):
+            expected = expected + naive_product(ring, x, y)
+        assert same(ring.dot(xs, ys), expected)
+        assert same(ring.mul(xs[0], ys[0]), zero + naive_product(ring, xs[0], ys[0]))
+
+
+def test_series_products_accumulate_in_the_kernel(monkeypatch):
+    # the thm17 closed form and the riordan denominator 1 - tG at order 12,
+    # built before additions of t-polynomials are forbidden
+    order = 12
+    t, one = TPoly.t(), TPoly.const(1)
+    thm17 = TruncatedSeries.from_egf_coefficients(
+        QT, order, [TPoly(), one] + [-t * (one - t) ** (n - 2) for n in range(2, order + 1)]
+    )
+    riordan = TruncatedSeries.from_egf_coefficients(
+        QT, order, [one] + [-t * (one - t) ** (n - 1) for n in range(1, order + 1)]
+    )
+    second_order = [TPoly()] + [eulerian_polynomial(n, 2) for n in range(order)]
+    first_order = [eulerian_polynomial(n, 1) for n in range(order + 1)]
+    assert second_order[3] == TPoly({1: 1, 2: 2})
+
+    def no_add(self, other):
+        raise AssertionError("a series product added t-polynomials pair by pair")
+
+    monkeypatch.setattr(TPoly, "__add__", no_add)
+    monkeypatch.setattr(TPoly, "__radd__", no_add)
+    inverse = thm17.comp_inverse()
+    assert [inverse.egf_coefficient(n) for n in range(order + 1)] == second_order
+    reciprocal = riordan.inv()
+    assert [reciprocal.egf_coefficient(n) for n in range(order + 1)] == first_order
 
 
 def recomposition_inverse(f):

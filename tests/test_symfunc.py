@@ -455,6 +455,14 @@ def test_tpoly_basics():
     assert TPoly.from_json(p.to_json()) == p
 
 
+def test_tpoly_power_takes_only_nonnegative_integer_exponents():
+    assert (T + 1) ** 0 == ONE
+    assert (T + 1) ** 3 == TPoly({0: 1, 1: 3, 2: 3, 3: 1})
+    for base, n in ((TPoly.const(2), -1), (T + 1, -2), (T + 1, 1.5), (T, Fraction(2))):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            base ** n
+
+
 def test_constants_hash_like_their_rationals():
     # equal objects must hash alike, or sets and dicts keep both
     for c in (0, 1, -3, Fraction(1, 2)):
