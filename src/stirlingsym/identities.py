@@ -428,8 +428,8 @@ def check_forbidden(order: int = 5) -> VerificationReport:
     def cases():
         for kind in ("lyn", "comb"):
             got = forbidden_tree_egf(kind, order)
-            # the reference stays in p, which h reaches through its closed
-            # form; the comparison with the m-basis enumeration is made in p
+            # both sides are in p: the enumeration's m tallies cross by the
+            # Hall rows, the reference h by its closed form
             for n in range(order + 1):
                 yield f"{kind} y^{n}", got.egf_coefficient(n), _h_coefficient(2, n, "p")
 

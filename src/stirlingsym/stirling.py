@@ -234,11 +234,6 @@ def _walk(n: int, r: int) -> Iterator[tuple[int, ...]]:
                 remaining[u] = 0
 
 
-def reverse(sp: StirlingPerm) -> StirlingPerm:
-    """The reversed word; reversal preserves the nesting condition."""
-    return StirlingPerm(tuple(reversed(sp.word)), sp.n, sp.r)
-
-
 def _occurrences(sp: StirlingPerm) -> dict[int, list[int]]:
     occ: dict[int, list[int]] = {a: [] for a in range(1, sp.n + 1)}
     for i, x in enumerate(sp.word):

@@ -6,16 +6,17 @@ integer partitions, tagged with one of the five classical bases:
 * ``m`` monomial, ``e`` elementary, ``h`` complete homogeneous, ``p`` power
   sum, ``s`` Schur.
 
-Every conversion with p at one end is an algebra map or the Hall pairing.
-e_lam and h_lam map to p as products of the closed forms
-e_k = sum_mu (-1)^(k - l(mu)) p_mu / z_mu and h_k = sum_mu p_mu / z_mu; p_lam
-maps to e or h through the images of p_k by Newton's identity; p <-> m is
-read off those maps through <m_mu, h_nu> = delta and <p_lam, p_nu> =
-z_lam delta.  The Schur basis pivots on p through symmetric-group characters
-(Murnaghan-Nakayama recursion).  Only e <-> h and e/h <-> m still go through
-explicit expansions in d variables (d = the degree of the homogeneous
-component, which is faithful for that degree), reading the monomial
-coefficients at partition exponents.  Everything stays in exact
+p is the hub: every conversion outside e, h and m goes into p and out of it,
+as an algebra map or through the Hall pairing.  e_lam and h_lam map to p as
+products of the closed forms e_k = sum_mu (-1)^(k - l(mu)) p_mu / z_mu and
+h_k = sum_mu p_mu / z_mu; p_lam maps to e or h through the images of p_k by
+Newton's identity.  m and s cross to p by per-degree rows read off the
+pairing <p_lam, p_nu> = z_lam delta, under which m is dual to h and s to
+itself: the m rows come from the h/p maps, the s rows from symmetric-group
+characters (Murnaghan-Nakayama).  Only e <-> h and e/h <-> m still go
+through explicit expansions in d variables (d = the degree of the
+homogeneous component, which is faithful for that degree), reading the
+monomial coefficients at partition exponents.  Everything stays in exact
 integer/rational arithmetic.
 
 The algebra maps :func:`specialize_E` (e_i -> t) and :func:`evaluate_h`
@@ -24,9 +25,9 @@ of e_k, h_k and p_k follow from the e-h relation and Newton's identity, and
 an e-, h- or p-basis input maps term by term without any conversion.
 
 Elements are immutable after construction and all operations are pure, so
-values can be shared freely across threads.  Generator images and
-per-degree transition matrices are computed once and cached; the d-variable
-matrices sit behind a lock.
+values can be shared freely across threads.  Generator images, p rows and
+the d-variable matrices of the e/h/m pairs are computed once and cached;
+the d-variable matrices sit behind a lock.
 """
 
 from __future__ import annotations
@@ -576,13 +577,23 @@ def _map_terms(terms: dict, source: str, target: str, d: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _hall_rows(target: str, d: int) -> dict:
-    """p -> m (target "m") or m -> p (target "p") at degree d, read off the
-    h/p maps through <m_mu, h_nu> = delta and <p_lam, p_nu> = z_lam delta:
-    [m_mu] p_lam = z_lam [p_lam] h_mu and [p_lam] m_mu = [h_mu] p_lam / z_lam."""
+def _hall_rows(source: str, target: str, d: int) -> dict:
+    """Rows of the degree-d conversion between p and m or s, from source to
+    target, read off the Hall pairing <p_lam, p_nu> = z_lam delta, under
+    which m is dual to h and s to itself:
+    [m_mu] p_lam = z_lam [p_lam] h_mu, [p_lam] m_mu = [h_mu] p_lam / z_lam and
+    [s_mu] p_lam = chi^mu(lam) = z_lam [p_lam] s_mu."""
     parts = partitions_of(d)
     rows: dict = {lam: {} for lam in parts}
-    if target == "m":
+    if "s" in (source, target):
+        for lam in parts:
+            for mu in parts:
+                chi = character(mu, lam)
+                if chi and target == "s":
+                    rows[lam][mu] = Fraction(chi)
+                elif chi:
+                    rows[mu][lam] = Fraction(chi, z_of(lam))
+    elif target == "m":
         for mu in parts:
             for lam, c in _map_terms({mu: 1}, "h", "p", d).items():
                 rows[lam][mu] = c * z_of(lam)
@@ -602,40 +613,27 @@ def _apply_matrix(terms: dict, matrix: dict) -> dict:
 
 
 def _convert_homogeneous(terms: dict, source: str, target: str, d: int) -> dict:
-    """Convert a degree-d homogeneous term dict between bases."""
+    """Convert a degree-d homogeneous term dict between bases.
+
+    e <-> h and e/h <-> m pivot through m by the d-variable expansion; every
+    other pair goes into p and out of p, e and h by the algebra maps, m and s
+    by the Hall rows."""
     if source == target:
         return dict(terms)
-    if source == "s" or target == "s":
-        if source != "p" and target == "s":
-            pterms = _convert_homogeneous(terms, source, "p", d)
-            return _convert_homogeneous(pterms, "p", "s", d)
-        if source == "s" and target != "p":
-            pterms = _convert_homogeneous(terms, "s", "p", d)
-            return _convert_homogeneous(pterms, "p", target, d)
-        out: dict[Partition, Fraction] = {}
-        if source == "s":  # s -> p: s_lam = sum_mu chi^lam(mu)/z_mu p_mu
-            for lam, c in terms.items():
-                for mu in partitions_of(d):
-                    chi = character(lam, mu)
-                    if chi:
-                        out[mu] = out.get(mu, Fraction(0)) + c * Fraction(chi, z_of(mu))
-        else:  # p -> s: p_mu = sum_lam chi^lam(mu) s_lam
-            for mu, c in terms.items():
-                for lam in partitions_of(d):
-                    chi = character(lam, mu)
-                    if chi:
-                        out[lam] = out.get(lam, Fraction(0)) + c * chi
-        return {lam: c for lam, c in out.items() if c}
-    if "p" in (source, target):
-        if "m" in (source, target):
-            return _apply_matrix(terms, _hall_rows(target, d))
-        return _map_terms(terms, source, target, d)
-    # e <-> h and e/h <-> m pivot through the monomial basis
-    if source != "m":
-        terms = _apply_matrix(terms, _to_m_matrix(source, d))
-        if target == "m":
-            return terms
-    return _apply_matrix(terms, _from_m_matrix(target, d))
+    if {source, target} <= {"e", "h", "m"}:
+        if source != "m":
+            terms = _apply_matrix(terms, _to_m_matrix(source, d))
+            if target == "m":
+                return terms
+        return _apply_matrix(terms, _from_m_matrix(target, d))
+    for a, b in ((source, "p"), ("p", target)):
+        if a == b:
+            continue
+        if {a, b} & {"m", "s"}:
+            terms = _apply_matrix(terms, _hall_rows(a, b, d))
+        else:
+            terms = _map_terms(terms, a, b, d)
+    return terms
 
 
 def convert(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
@@ -656,12 +654,14 @@ def convert(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
 
 
 def multiply(f: SymFunc, g: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
-    """Product in the ring, returned in the basis of f."""
+    """Product in the ring, returned in the basis of f.
+
+    The multiplicative bases e, h and p join partitions; an m or s product
+    is formed in p and converted back."""
     if not f or not g:
         return SymFunc(f.basis, {})
     _check_cap(f.degree() + g.degree(), cap)
-    # multiplicative bases concatenate partitions; m and s pivot through one
-    work = f.basis if f.basis in ("e", "h", "p") else ("p" if f.basis == "s" else "e")
+    work = f.basis if f.basis in ("e", "h", "p") else "p"
     product = _Terms(convert(f, work, cap).terms) * _Terms(convert(g, work, cap).terms)
     return convert(SymFunc(work, product), f.basis, cap)
 
@@ -670,7 +670,7 @@ def omega(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     """The involution exchanging e_n and h_n.
 
     On the power-sum basis it scales p_lam by (-1)^(|lam|-l(lam)); on the
-    Schur basis it conjugates partitions.
+    Schur basis it conjugates partitions.  An m input is mapped in p.
     """
     if f.basis == "e":
         return SymFunc("h", f.terms)
@@ -683,7 +683,7 @@ def omega(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
         )
     if f.basis == "s":
         return SymFunc("s", {conjugate(lam): c for lam, c in f.terms.items()})
-    return convert(omega(convert(f, "e", cap), cap), "m", cap)
+    return convert(omega(convert(f, "p", cap), cap), "m", cap)
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +720,10 @@ def _apply_algebra_map(f: SymFunc, family: str, image, one, cap: int):
 
     e, h and p inputs map term by term: b_lam goes to the product of its
     parts' images, in the ring of ``one``.  Inputs of the map's own family
-    ask image(k) only for the parts that occur.  An m input is first converted to ``family`` and an s
-    input to p (by characters); these two conversions are bounded by cap.
+    ask image(k) only for the parts that occur.  An m or s input is first
+    converted to p by the Hall rows; that conversion is bounded by cap.
     """
-    if f.basis == "m":
-        f = convert(f, family, cap)
-    elif f.basis == "s":
+    if f.basis in ("m", "s"):
         f = convert(f, "p", cap)
     if f.basis == family:
         gen = image
@@ -744,9 +742,9 @@ def _apply_algebra_map(f: SymFunc, family: str, image, one, cap: int):
 def specialize_E(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> TPoly:
     """The algebra map sending every e_i (i >= 1) to t.
 
-    e_lam maps to t^(l(lam)); h, p (and s, through p) are mapped through the
-    images of h_k and p_k derived from e_k -> t, so only an m or s input is
-    converted and meets the degree cap.
+    e_lam maps to t^(l(lam)); h and p (and m and s, through p) are mapped
+    through the images of h_k and p_k derived from e_k -> t, so only an m or
+    s input is converted and meets the degree cap.
     """
     t = TPoly.t()
     return _apply_algebra_map(f, "e", lambda k: t, TPoly.const(1), cap)
@@ -756,8 +754,8 @@ def evaluate_h(f: SymFunc, values: dict, cap: int = DEFAULT_DEGREE_CAP) -> Fract
     """Substitute values[i] for the generator h_i, multiplicatively on h_lam.
 
     An h input needs values only for the parts that occur; e and p inputs
-    (and s, through p) need h_1..h_k for their largest part k.  Only an m or
-    s input is converted and meets the degree cap.
+    (and m and s, through p) need h_1..h_k for their largest part k.  Only an
+    m or s input is converted and meets the degree cap.
     """
 
     def image(k: int) -> Fraction:

@@ -38,7 +38,7 @@ from .partitions import (
     weak_compositions,
 )
 from .series import SymFuncRing, TruncatedSeries
-from .symfunc import SymFunc
+from .symfunc import SymFunc, convert
 
 Tree = object  # int leaf or (Tree, Tree) pair
 
@@ -358,20 +358,20 @@ def forbidden_tree_egf(kind: str, order: int) -> TruncatedSeries:
 
     The coefficient of y^n/n! is (-1)^(n-1) times the content generating
     function of the chains on [n]; it must equal the alternating complete
-    homogeneous series sum (-1)^(n-1) h_(n-1) y^n / n!.
+    homogeneous series sum (-1)^(n-1) h_(n-1) y^n / n!.  The coefficients are
+    tallied in m and kept in p, where the series is inverted.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    ring = SymFuncRing(basis="m")
-    coeffs = [SymFunc.zero("m")]
+    ring = SymFuncRing(basis="p")
+    coeffs = [SymFunc.zero("p")]
     for n in range(1, order + 1):
         tally: dict[WeakComposition, int] = {}
         for ct in forbidden_trees(kind, n):
             mu = ct.content()
             tally[mu] = tally.get(mu, 0) + 1
         terms = _content_to_monomial(tally, max(1, n - 1))
-        sign = (-1) ** (n - 1)
-        coeffs.append(SymFunc("m", {k: sign * c for k, c in terms.items()}))
+        coeffs.append(convert(SymFunc("m", terms), "p") * (-1) ** (n - 1))
     return TruncatedSeries.from_egf_coefficients(ring, order, coeffs)
 
 

@@ -4,14 +4,17 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from stirlingsym import cli, identities, moduli, posets, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
+from stirlingsym.partitions import partitions_of
 from stirlingsym.report import VerificationReport
-from stirlingsym.series import TruncatedSeries
+from stirlingsym.series import SymFuncRing, TruncatedSeries
 from stirlingsym.symfunc import SymFunc
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -293,6 +296,31 @@ def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
 
 
 def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monkeypatch):
+    # p is the hub: only e <-> h and e/h <-> m build the d-variable matrices.
+    # The oracles below pivot m and s through e, with the matrices, before
+    # the builders are patched away.
+    def in_e(x):
+        return symfunc.convert(x, "e")
+
+    f = SymFunc("m", {(2, 1): 3, (1,): -1, (): 2})
+    g = SymFunc("s", {(2, 1): 1, (3,): Fraction(1, 2), (1,): 1})
+    values = {k: Fraction(k + 1, 2 * k + 1) for k in range(1, 9)}
+    checks = []
+    for x, y in ((f, f), (f, g), (g, f), (f, f.scale(3) + g)):
+        checks.append((partial(symfunc.multiply, x, y), symfunc.multiply(in_e(x), in_e(y))))
+    for x in (f, g):
+        checks += [
+            (partial(symfunc.omega, x), symfunc.omega(in_e(x))),
+            (partial(symfunc.specialize_E, x), symfunc.specialize_E(in_e(x))),
+            (partial(symfunc.evaluate_h, x, values), symfunc.evaluate_h(in_e(x), values)),
+        ]
+    coeffs = [SymFunc.one("m"), SymFunc("m", {(1,): 1}),
+              SymFunc("m", {(2,): 1, (1, 1): -2}), f]
+    series_m = TruncatedSeries.from_coefficients(SymFuncRing(basis="m"), "ogf", 3, coeffs)
+    in_e_ring = TruncatedSeries.from_coefficients(SymFuncRing(basis="e"), "ogf", 3,
+                                                  [in_e(c) for c in coeffs])
+    checks.append((lambda: series_m.inv().coeffs, in_e_ring.inv().coeffs))
+
     def no_matrix(*args):
         raise AssertionError("no d-variable transition matrix may be built")
 
@@ -305,6 +333,20 @@ def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monk
         code, out, err = run(capsys, "expand", "--n", "8", "--r", "2", "--basis", basis)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+    every = {lam: Fraction(len(lam) + 1, d + 1) for d in range(9) for lam in partitions_of(d)}
+    for source in symfunc.BASES:
+        for target in symfunc.BASES:
+            if source == target or {source, target} <= {"e", "h", "m"}:
+                continue
+            x = SymFunc(source, every)
+            y = symfunc.convert(x, target)
+            assert y.basis == target
+            assert symfunc.convert(y, source).terms == x.terms, (source, target)
+    for call, expected in checks:
+        assert call() == expected
+    assert symfunc.multiply(f, g).basis == "m"
+    assert identities.check_forbidden(5).passed
+    assert check_drake(5).passed
     with pytest.raises(symfunc.DegreeCapError, match="degree 9 exceeds the cap 8"):
         symfunc.convert(symfunc.basis_element("e", (9,)), "p")
 

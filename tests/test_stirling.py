@@ -13,13 +13,17 @@ from stirlingsym.stirling import (
     enumerate_stirling_backtrack,
     eulerian_brute_force,
     eulerian_polynomial,
-    reverse,
     stirling_symfunc,
     type_of,
 )
 from stirlingsym.symfunc import SymFunc, TPoly, convert, specialize_E
 
 from expansion_tables import STATS_TABLE_N3, stats
+
+
+def reverse(sp):
+    """The reversed word; reversal preserves the nesting condition."""
+    return StirlingPerm(tuple(reversed(sp.word)), sp.n, sp.r)
 
 
 def occurrences(sp, a):
