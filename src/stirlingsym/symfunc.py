@@ -44,7 +44,6 @@ from .partitions import (
     conjugate,
     partitions_of,
     rational_str,
-    parse_rational,
     z_of,
 )
 
@@ -354,10 +353,6 @@ class TPoly:
     def to_json(self):
         return [[e, rational_str(c)] for e, c in sorted(self.coeffs.items())]
 
-    @classmethod
-    def from_json(cls, data) -> "TPoly":
-        return cls({int(e): parse_rational(c) for e, c in data})
-
 
 # ---------------------------------------------------------------------------
 # SymFunc
@@ -482,16 +477,6 @@ class SymFunc:
                 for lam, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "SymFunc":
-        return cls(
-            data["basis"],
-            {
-                tuple(t["partition"]): parse_rational(t["coeff"])
-                for t in data["terms"]
-            },
-        )
 
 
 def basis_element(basis: str, lam) -> SymFunc:

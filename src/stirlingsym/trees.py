@@ -380,21 +380,11 @@ def forbidden_tree_egf(kind: str, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def tree_to_json(t, colors: dict | None = None):
-    """Nested JSON form {"leaf": 3} / {"node": {"left":..,"right":..,"color":c}}."""
-    counter = [0]
-
-    def build(node):
-        if is_leaf(node):
-            return {"leaf": node}
-        index = counter[0]
-        counter[0] += 1
-        data = {"left": build(node[0]), "right": build(node[1])}
-        if colors is not None and index in colors:
-            data["color"] = colors[index]
-        return {"node": data}
-
-    return build(t)
+def tree_to_json(t):
+    """Nested JSON form {"leaf": 3} / {"node": {"left": .., "right": ..}}."""
+    if is_leaf(t):
+        return {"leaf": t}
+    return {"node": {"left": tree_to_json(t[0]), "right": tree_to_json(t[1])}}
 
 
 def render_tree(t, indent: int = 0) -> str:

@@ -160,7 +160,7 @@ def test_criterion_14_volume_sign_rule():
     _record(14, report.passed and named, "; ".join(report.details[-1:]))
 
 
-def test_criterion_15_full_verification_suite():
+def test_criterion_15_full_verification_suite(battery):
     start = time.monotonic()
     code = cli.main(["verify", "--identity", "all"])
     elapsed = time.monotonic() - start

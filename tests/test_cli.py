@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import resource
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pinned_outputs
 from stirlingsym import cli, identities, moduli, posets, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
 from stirlingsym.partitions import partitions_of
@@ -38,8 +38,7 @@ def test_expand_json_roundtrips(capsys):
         capsys, "expand", "--n", "3", "--r", "1", "--basis", "e", "--format", "json"
     )
     assert code == 0
-    f = SymFunc.from_json(json.loads(out))
-    assert f == SymFunc("e", {(3,): 1, (2, 1): 4, (1, 1, 1): 1})
+    assert json.loads(out) == SymFunc("e", {(3,): 1, (2, 1): 4, (1, 1, 1): 1}).to_json()
 
 
 def test_expand_latex(capsys):
@@ -152,7 +151,7 @@ def test_specializations_meet_no_degree_cap(capsys, argv):
 
 
 def test_htoe_still_meets_the_degree_cap(capsys):
-    code, out, err = run(capsys, "verify", "--identity", "htoe", "--n", "9")
+    code, out, err = run(capsys, *pinned_outputs.argv("refused-htoe-n9"))
     assert (code, out) == (2, "")
     assert "exceeds the cap 8" in err
 
@@ -162,7 +161,7 @@ def test_htoe_refuses_large_n_before_any_conversion(capsys, monkeypatch):
         raise AssertionError("no transition matrix may be built")
 
     monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
-    code, out, err = run(capsys, "verify", "--identity", "htoe", "--n", "9")
+    code, out, err = run(capsys, *pinned_outputs.argv("refused-htoe-n9"))
     assert (code, out) == (2, "")
     assert "degree 9 exceeds the cap 8" in err
 
@@ -172,23 +171,28 @@ def test_enumerate_trees_refuses_large_n_before_any_work(capsys, monkeypatch):
         raise AssertionError("no tree may be built")
 
     monkeypatch.setattr(trees, "_attach", no_attach)
-    code, out, err = run(capsys, "enumerate", "--what", "trees", "--n", "10")
+    code, out, err = run(capsys, *pinned_outputs.argv("refused-trees-n10"))
     assert (code, out) == (2, "")
     assert f"exceeds the normalized-tree limit {trees.NORMALIZED_MAX_N}" in err
     assert trees.NORMALIZED_MAX_N == 9
 
 
 def test_drake_refuses_large_order_before_any_work(capsys, monkeypatch):
-    def no_colorings(*args):
-        raise AssertionError("the coloring walk must not start")
+    class ColoringWalk(Exception):
+        pass
 
-    monkeypatch.setattr(trees, "_colorings", no_colorings)
-    code, out, err = run(capsys, "verify", "--identity", "drake", "--order", "7")
+    def walk(*args):
+        raise ColoringWalk
+
+    monkeypatch.setattr(trees, "_colorings", walk)
+    code, out, err = run(capsys, *pinned_outputs.argv("refused-drake-order7"))
     assert (code, out) == (2, "")
     assert f"exceeds the colored-tree limit {trees.COLORED_MAX_N}" in err
-    monkeypatch.undo()
     assert trees.COLORED_MAX_N == 6
-    assert check_drake(6).passed
+    # the limit itself is accepted: the check reaches the walk; that it passes
+    # is pinned by the verify-all entries of the output manifest
+    with pytest.raises(ColoringWalk):
+        check_drake(6)
 
 
 @pytest.mark.parametrize("poset, n, mu", [
@@ -216,38 +220,38 @@ _INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, th
 
 
 @pytest.mark.parametrize("argv, owner, step, message", [
-    (["verify", "--identity", "thm62", "--n", "6"], posets, "_down_sets",
+    (pinned_outputs.argv("refused-thm62-n6"), posets, "_down_sets",
      _INTERVAL_REFUSAL),
-    (["verify", "--identity", "thm64", "--n", "9"], posets, "_down_sets",
+    (pinned_outputs.argv("refused-thm64-n9"), posets, "_down_sets",
      _INTERVAL_REFUSAL),
-    (["verify", "--identity", "riordan", "--order", "31"], TruncatedSeries, "inv",
+    (pinned_outputs.argv("refused-riordan-order31"), TruncatedSeries, "inv",
      _TYPE_SUM_REFUSAL),
-    (["verify", "--identity", "inversion", "--order", "31"], TruncatedSeries, "inv",
+    (pinned_outputs.argv("refused-inversion-order31"), TruncatedSeries, "inv",
      _TYPE_SUM_REFUSAL),
     # comp_inverse inverts through inv
-    (["verify", "--identity", "thm17", "--order", "32"], TruncatedSeries, "inv",
+    (pinned_outputs.argv("refused-thm17-order32"), TruncatedSeries, "inv",
      _TYPE_SUM_REFUSAL),
-    (["verify", "--identity", "lemma52", "--n", "31"], identities, "specialize_E",
+    (pinned_outputs.argv("refused-lemma52-n31"), identities, "specialize_E",
      _TYPE_SUM_REFUSAL),
-    (["invert", "--kind", "mult", "--coeffs", ",".join(["1"] * 32)], stirling,
+    (pinned_outputs.argv("refused-invert-mult-32-coeffs"), stirling,
      "_type_tally", _TYPE_SUM_REFUSAL),
-    (["verify", "--identity", "forbidden", "--order", "10"], identities, "convert",
+    (pinned_outputs.argv("refused-forbidden-order10"), identities, "convert",
      _CAP_REFUSAL),
-    (["verify", "--identity", "prop12", "--order", "10"], identities, "convert",
+    (pinned_outputs.argv("refused-prop12-order10"), identities, "convert",
      _CAP_REFUSAL),
-    (["verify", "--identity", "thm65", "--n", "9"], moduli, "convert", _CAP_REFUSAL),
+    (pinned_outputs.argv("refused-thm65-n9"), moduli, "convert", _CAP_REFUSAL),
     # Q(8, 2) fits the word limit, but typing it and the trees of [9] does not
-    (["verify", "--identity", "treeperm", "--n", "9"], identities, "enumerate_normalized",
+    (pinned_outputs.argv("refused-treeperm-n9"), identities, "enumerate_normalized",
      f"over the typing limit {stirling.TYPING_MAX_WORK}"),
     (["wp", "--lambda", ",".join(["1"] * (moduli.WP_MAX_N + 1))], moduli,
      "_box_polynomial", f"exceeds the volume limit {moduli.WP_MAX_N} (moduli.WP_MAX_N)"),
-    (["tables", "--nmax", "9"], symfunc, "convert", _CAP_REFUSAL),
+    (pinned_outputs.argv("refused-tables-nmax9"), symfunc, "convert", _CAP_REFUSAL),
     # the interval below (6, 3) is accepted; its type sum has degree 9
-    (["mobius", "--poset", "b", "--n", "9", "--mu", "6,3", "--verify"], posets,
+    (pinned_outputs.argv("refused-mobius-b-9-63-verify"), posets,
      "_down_sets", _CAP_REFUSAL),
     (["expand", "--n", "30", "--r", "2", "--basis", "m"], stirling, "_type_tally",
      _EXPAND_CAP_REFUSAL),
-    (["expand", "--n", "4", "--r", "2", "--kind", "DA", "--j", "5"], stirling,
+    (pinned_outputs.argv("refused-expand-DA-j5"), stirling,
      "_type_tally", "kind DA takes no j; j must be 1, got 5"),
 ], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "lemma52", "invert", "forbidden",
         "prop12", "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand",
@@ -269,7 +273,7 @@ def test_eulerian_refuses_a_count_it_could_not_print(capsys, monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(stirling, "_descent_tally", no_recurrence)
-        code, out, err = run(capsys, "eulerian", "--n", "2000", "--r", "2")
+        code, out, err = run(capsys, *pinned_outputs.argv("refused-eulerian-n2000"))
         assert (code, out) == (2, "")
         assert (f"has more than {sys.get_int_max_str_digits()} digits, the limit of "
                 "integer string conversion (sys.get_int_max_str_digits())") in err
@@ -326,13 +330,11 @@ def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monk
 
     monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
     monkeypatch.setattr(symfunc, "_from_m_matrix", no_matrix)
-    for basis, digest in [
-        ("s", "de83f5fcea87f972cbd310f0a1903e38df129f49f5e3ebd090eb052c0b95205d"),
-        ("p", "7fd50ff9f98eda932d9a61aef1f2cf0b25d507fc0c9d2a701e22011de792a724"),
-    ]:
-        code, out, err = run(capsys, "expand", "--n", "8", "--r", "2", "--basis", basis)
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for entry_id in ("expand-8-2-s", "expand-8-2-p"):
+        entry = pinned_outputs.entries()[entry_id]
+        code, out, err = run(capsys, *entry["argv"])
+        assert err == ""
+        assert pinned_outputs.mismatch(entry, code, out.encode()) is None
     every = {lam: Fraction(len(lam) + 1, d + 1) for d in range(9) for lam in partitions_of(d)}
     for source in symfunc.BASES:
         for target in symfunc.BASES:
@@ -354,29 +356,24 @@ def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monk
         raise AssertionError("the type recurrence must not start")
 
     monkeypatch.setattr(stirling, "_type_tally", no_tally)
-    code, out, err = run(capsys, "expand", "--n", "9", "--r", "2", "--basis", "p")
+    code, out, err = run(capsys, *pinned_outputs.argv("refused-expand-9-2-p"))
     assert (code, out) == (2, "")
     assert "degree 9 exceeds the cap 8" in err
 
 
-@pytest.mark.parametrize("identity, order, digest", [
-    ("prop11", "8", "698ee2c588dcf0846908a50cc694187ecd73d54ae883b9cccf42f6ca1d3f4da7"),
-    ("prop12", "9", "96617b3c4487f4043407adef0752d699a715b1c7335126ffa3bd2c82900eb387"),
-    ("thm13", "8", "bdbbf0e1563ed83d8bc97399394cdbce08b19ab18455c723b275a4a0fee0e567"),
-    ("thm14", "9", "8aca4015acd70f51c5ca0013665b8ffcb92e86a799d622a97acb5183d17bd8fa"),
-])
-def test_series_checks_build_no_variable_expansion(capsys, monkeypatch, identity, order,
-                                                   digest):
+@pytest.mark.parametrize("entry_id",
+                         ["prop11-8-json", "prop12-9-json", "thm13-8-json", "thm14-9-json"])
+def test_series_checks_build_no_variable_expansion(capsys, monkeypatch, entry_id):
     # both sides are read in p, where e_k and h_k have closed forms
     def no_matrix(*args):
         raise AssertionError("no d-variable transition matrix may be built")
 
     monkeypatch.setattr(symfunc, "_to_m_matrix", no_matrix)
     monkeypatch.setattr(symfunc, "_from_m_matrix", no_matrix)
-    code, out, err = run(capsys, "verify", "--identity", identity, "--order", order,
-                         "--format", "json")
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    entry = pinned_outputs.entries()[entry_id]
+    code, out, err = run(capsys, *entry["argv"])
+    assert err == ""
+    assert pinned_outputs.mismatch(entry, code, out.encode()) is None
 
 
 def test_series_check_in_p_sees_a_wrong_closed_form(monkeypatch):
@@ -400,9 +397,9 @@ def test_series_check_in_p_sees_a_wrong_closed_form(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--identity", "equidist", "--n", "9", "--r", "2"],
-        ["--identity", "eulerian_oracle", "--n", "9"],
-        ["--identity", "treeperm", "--n", "10"],
+        ["verify", "--identity", "equidist", "--n", "9", "--r", "2"],
+        pinned_outputs.argv("refused-eulerian_oracle-n9"),
+        ["verify", "--identity", "treeperm", "--n", "10"],
     ],
 )
 def test_enumerating_checks_refuse_large_n_before_any_word(capsys, monkeypatch, argv):
@@ -410,7 +407,7 @@ def test_enumerating_checks_refuse_large_n_before_any_word(capsys, monkeypatch, 
         raise AssertionError("the word walk must not start")
 
     monkeypatch.setattr(stirling, "_walk", no_walk)
-    code, out, err = run(capsys, "verify", *argv)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"over the enumeration limit {stirling.ENUMERATION_MAX_WORDS}" in err
     # eulerian_oracle --n 8 walks Q(8, 2), 2,027,025 words, and stays accepted
@@ -515,7 +512,7 @@ def test_invert(capsys):
     assert json.loads(out) == ["0", "1", "-1", "2", "-6"]
     code, _, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "0,1")
     assert code == 2
-    code, out, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "1/0")
+    code, out, err = run(capsys, *pinned_outputs.argv("refused-invert-zero-denominator"))
     assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
     code, out, err = run(capsys, "invert", "--kind", "mult", "--coeffs", "1,1",
                          "--order", "-1")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stirlingsym.symfunc as symfunc
-from stirlingsym.partitions import conjugate, partitions_of, z_of
+from stirlingsym.partitions import conjugate, parse_rational, partitions_of, z_of
 from stirlingsym.symfunc import (
     BASES,
     DegreeCapError,
@@ -25,6 +25,17 @@ from stirlingsym.symfunc import (
 
 T = TPoly.t()
 ONE = TPoly.const(1)
+
+
+def symfunc_from_json(data) -> SymFunc:
+    """Read back the form of :meth:`SymFunc.to_json`."""
+    return SymFunc(data["basis"],
+                   {tuple(t["partition"]): parse_rational(t["coeff"]) for t in data["terms"]})
+
+
+def tpoly_from_json(data) -> TPoly:
+    """Read back the form of :meth:`TPoly.to_json`."""
+    return TPoly({int(e): parse_rational(c) for e, c in data})
 
 
 def two_variable_expansion(terms, basis):
@@ -418,9 +429,9 @@ def test_symfunc_json_roundtrip():
     f = SymFunc("e", {(2, 1): Fraction(4), (1, 1): Fraction(-1, 2)})
     data = f.to_json()
     assert data["basis"] == "e"
-    assert SymFunc.from_json(data) == f
+    assert symfunc_from_json(data) == f
     # a denominator of 1 is also accepted on input
-    g = SymFunc.from_json(
+    g = symfunc_from_json(
         {"basis": "e", "terms": [{"partition": [2, 1], "coeff": "4/1"}]}
     )
     assert g == basis_element("e", (2, 1)) * 4
@@ -452,7 +463,7 @@ def test_tpoly_basics():
     assert p == TPoly({2: 1, 0: -1})
     assert str(TPoly({1: 1, 2: 8, 3: 6})) == "t + 8*t^2 + 6*t^3"
     assert str(TPoly()) == "0"
-    assert TPoly.from_json(p.to_json()) == p
+    assert tpoly_from_json(p.to_json()) == p
 
 
 def test_tpoly_power_takes_only_nonnegative_integer_exponents():

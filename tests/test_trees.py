@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+import pinned_outputs
 from stirlingsym import cli
 from stirlingsym.partitions import sort_to_partition, trim, weak_compositions
 from stirlingsym.stirling import enumerate_stirling, type_of
@@ -73,7 +74,17 @@ def tree_from_json(data):
 
 
 def colored_tree_to_json(ct):
-    return tree_to_json(ct.tree, dict(enumerate(ct.colors)))
+    """The JSON form of :func:`tree_to_json` with each internal node's
+    colour, the colours taken in preorder."""
+    colors = iter(ct.colors)
+
+    def build(node):
+        if is_leaf(node):
+            return {"leaf": node}
+        color = next(colors)
+        return {"node": {"left": build(node[0]), "right": build(node[1]), "color": color}}
+
+    return build(ct.tree)
 
 
 def recursive_is_normalized(t):
@@ -176,18 +187,12 @@ def test_tree_types_are_the_union_find_blocks():
         tree_type((1, 2), "nope")
 
 
-def _cli_sha256(capsys, *argv):
-    assert cli.main(list(argv)) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-
-
 def test_tree_listings_are_pinned(capsys):
-    # the n = 7 digest is the one the benchmark's oracle checks
-    assert _cli_sha256(capsys, "enumerate", "--what", "trees", "--n", "7",
-                       "--format", "json") == (
-        "7bb9a7bec9a2393707e5cb2a0b63e320efaaf8a82de5ff4a4a8c0ce8372ad1bd")
-    assert _cli_sha256(capsys, "enumerate", "--what", "trees", "--n", "5") == (
-        "e17e8890549378b2a3bf4d57d515abe4f16d7161945eaae3b28d4ac27f32343e")
+    # the n = 7 listing is also the benchmark's oracle (perfbench/digests.json)
+    for entry_id in ("trees-7-json", "trees-5"):
+        entry = pinned_outputs.entries()[entry_id]
+        code = cli.main(list(entry["argv"]))
+        assert pinned_outputs.mismatch(entry, code, capsys.readouterr().out.encode()) is None
 
 
 def test_forbidden_tree_order_is_pinned():
