@@ -23,8 +23,8 @@ _EXPORTS = {
                      "enumerate_normalized", "lyndon_type"), "trees"),
 }
 
-_SUBMODULES = ("cli", "identities", "moduli", "partitions", "posets", "report",
-               "series", "stirling", "symfunc", "trees")
+_SUBMODULES = ("cli", "identities", "limits", "moduli", "partitions", "posets",
+               "report", "series", "stirling", "symfunc", "trees")
 
 __all__ = sorted(_EXPORTS)
 

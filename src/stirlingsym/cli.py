@@ -12,12 +12,14 @@ Comma-list values may start with a minus sign in either form:
 ``--coeffs -1,2,3`` reads like ``--coeffs=-1,2,3``.
 
 Each verb imports the layers it runs when it runs, so building the parser
-loads no layer and ``eulerian`` or ``expand --basis e`` loads only
-``stirling``, ``symfunc`` and ``partitions``.  Only the standard-library
-modules that every verb needs, ``argparse``, ``os``, ``re`` and ``sys``, are
-imported here; with the layers' ``collections.abc``, ``fractions``,
-``functools``, ``itertools``, ``math`` and ``threading`` they are all that a
-tally verb loads.  ``json`` is imported only when a verb prints JSON.
+loads no layer and ``eulerian``, ``expand --basis e`` or ``invert`` loads
+only ``stirling``, ``symfunc``, ``partitions`` and ``limits``.  Only the
+standard-library modules that every verb needs, ``argparse``, ``os``, ``re``
+and ``sys``, are imported here; with the layers' ``collections.abc``,
+``fractions``, ``functools``, ``itertools``, ``math`` and ``threading`` they
+are all that a tally verb loads.  ``json`` is imported only when a verb
+prints JSON.  Each sized verb runs the refusal of its row in
+``limits.ROWS`` before any work.
 """
 
 from __future__ import annotations
@@ -135,12 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_expand(args) -> int:
+    from .limits import refuse
     from .stirling import stirling_symfunc
-    from .symfunc import DEFAULT_DEGREE_CAP, _check_cap, convert, render_symfunc
+    from .symfunc import convert, render_symfunc
 
-    if args.basis != "e":
-        # F(n, r) has degree n, and only basis e converts nothing
-        _check_cap(args.n, DEFAULT_DEGREE_CAP)
+    refuse("expand", args.n, args.basis)
     f = stirling_symfunc(args.n, args.r, args.kind, args.j)
     g = convert(f, args.basis)
     if args.format == "json":
@@ -153,6 +154,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .limits import refuse
+
+    refuse("enumerate", args.what, args.n)
     if args.what == "stirling":
         from .stirling import enumerate_stirling
 
@@ -174,19 +178,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_eulerian(args) -> int:
-    # no coefficient exceeds |Q(n, r)|: refuse, before the recurrence, a
-    # count with more digits than Python converts to text (0: no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.r >= 1:
-        count, bound = 1, 10 ** limit
-        for k in range(1, args.n + 1):
-            count *= (k - 1) * args.r + 1
-            if count >= bound:
-                raise ValueError(
-                    f"|Q({args.n},{args.r})| has more than {limit} digits, the "
-                    "limit of integer string conversion (sys.get_int_max_str_digits())")
+    from .limits import refuse
     from .stirling import eulerian_polynomial
 
+    refuse("eulerian", args.n, args.r)
     poly = eulerian_polynomial(args.n, args.r)
     if args.format == "json":
         _print_json(poly.to_json())
@@ -196,15 +191,16 @@ def _cmd_eulerian(args) -> int:
 
 
 def _call_check(name, fn, args):
-    """Run one check with the size options it takes.
+    """Run one check with the size options its row in ``limits.ROWS`` names.
 
     ``--order`` stands in for ``n`` when the check takes ``n`` and no
     ``--n`` is given.  Any other option the check does not take is refused,
-    and so is a negative size, before the check runs.
+    and so is a negative size, before the check runs.  The options come from
+    the row, not from ``fn``, which may be a wrapper that names none.
     """
-    import inspect
+    from .limits import ROWS
 
-    accepted = inspect.signature(fn).parameters
+    accepted = ROWS[name].options
     kwargs = {}
     for option in _SIZE_OPTIONS:
         value = getattr(args, option)
@@ -252,8 +248,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    from .identities import invert_egf_numeric
     from .partitions import parse_rational, rational_str
+    from .stirling import invert_egf_numeric
 
     coeffs = [parse_rational(x) for x in args.coeffs.split(",")]
     order = args.order if args.order is not None else len(coeffs) - 1
@@ -280,14 +276,12 @@ def _cmd_wp(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
+    from .limits import refuse
     from .partitions import rational_str, sort_to_partition
     from .posets import _signed_type_coefficient, interval
-    from .symfunc import DEFAULT_DEGREE_CAP, _check_cap
 
     mu = _parse_ints(args.mu)
-    if args.verify:
-        # the predicted coefficient converts a type sum of degree n-1 (pi) or n (b)
-        _check_cap(args.n - 1 if args.poset == "pi" else args.n, DEFAULT_DEGREE_CAP)
+    refuse("mobius", args.poset, args.n, args.verify)
     iv = interval(args.poset, args.n, mu)
     value = iv.mobius_invariant()
     if not args.verify:
@@ -326,11 +320,9 @@ def expansion_table(r: int, nmax: int = 6) -> str:
 def _cmd_tables(args) -> int:
     from pathlib import Path
 
-    from .symfunc import DEFAULT_DEGREE_CAP, _check_cap
+    from .limits import refuse
 
-    if args.nmax < 0:
-        raise ValueError(f"--nmax must be nonnegative, got {args.nmax}")
-    _check_cap(args.nmax, DEFAULT_DEGREE_CAP)
+    refuse("tables", args.nmax)
     if args.out is None:
         for r in (1, 2):
             sys.stdout.write(expansion_table(r, args.nmax))

@@ -9,10 +9,10 @@ With s = r - 1, the series sum_n (-1)^(n-s) h_(n-s) y^n
 (:func:`_h_coefficient`) is inverted multiplicatively for r = 1 and
 compositionally for r = 2 (:func:`_invert`).  As an OGF its inverse holds
 the e_n (r = 1) and the noncrossing e-sums (r = 2); as an EGF it holds the
-type sum F(n-s, r) at y^n/n! (:func:`_type_sum`), and under e_i -> t the
-first- or second-order Eulerian polynomial.  ``prop11``/``prop12``,
+type sum F(n-s, r) at y^n/n! (``stirling._type_sum``), and under e_i -> t
+the first- or second-order Eulerian polynomial.  ``prop11``/``prop12``,
 ``thm13``/``thm14``, ``riordan``/``thm17``, ``forbidden`` and
-:func:`invert_egf_numeric` are all built from these pieces.
+``stirling.invert_egf_numeric`` are all built from these pieces.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
 
+from .limits import refuse
 from .partitions import (
     Partition,
     binomial,
@@ -34,27 +35,22 @@ from .partitions import (
 from .report import VerificationReport, coefficient_pairs, first_mismatch, series_report
 from .series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
 from .stirling import (
-    check_type_sum_limit,
-    check_typing_budget,
-    check_word_budget,
+    _FAMILY,
+    _type_sum,
     enumerate_stirling,
     eulerian_brute_force,
     eulerian_polynomial,
-    stirling_symfunc,
+    invert_egf_numeric,
     type_of,
 )
 from .symfunc import (
-    DEFAULT_DEGREE_CAP,
     SymFunc,
     TPoly,
-    _check_cap,
     basis_element,
     convert,
-    evaluate_h,
     specialize_E,
 )
 from .trees import (
-    COLORED_MAX_N,
     colored_generating_function,
     comb_type,
     enumerate_colored,
@@ -81,12 +77,6 @@ def _h_coefficient(r: int, n: int, basis: str = "h") -> SymFunc:
     if n < s:
         return SymFunc.zero(basis)
     return convert((-1) ** (n - s) * _h(n - s), basis)
-
-
-def _type_sum(r: int, n: int) -> SymFunc:
-    """F(n-s, r) with s = r - 1, the inverse's coefficient of y^n/n!; 0 for n < s."""
-    s = r - 1
-    return SymFunc.zero("e") if n < s else stirling_symfunc(n - s, r)
 
 
 def _invert(r: int, series: TruncatedSeries) -> TruncatedSeries:
@@ -161,6 +151,7 @@ def noncrossing_e_sum(n: int) -> SymFunc:
 
 def check_prop11(order: int = 6) -> VerificationReport:
     """OGF: the inverse of the alternating h series is the e series."""
+    refuse("prop11", order)
     lhs = _invert(1, _ogf(order, lambda n: _h_coefficient(1, n)))
     return series_report("prop11", {"order": order}, lhs, _ogf(order, _e))
 
@@ -170,7 +161,7 @@ def check_prop12(order: int = 6) -> VerificationReport:
     the series of noncrossing-partition e-sums."""
     # convert would meet the cap at h_(order - 1) only after the Catalan
     # counts below and the conversions of every smaller degree
-    _check_cap(order - 1, DEFAULT_DEGREE_CAP)
+    refuse("prop12", order)
 
     def cases():
         for k in range(8):
@@ -193,6 +184,7 @@ def check_prop12(order: int = 6) -> VerificationReport:
 
 def _egf_check(identity: str, r: int, order: int) -> VerificationReport:
     """EGF: the inverse of family r's h series holds F(n-s, r) at y^n/n!."""
+    refuse(identity, order)
     lhs = _invert(r, symfunc_egf(order, lambda n: _h_coefficient(r, n), "p"))
     rhs = symfunc_egf(order, lambda n: _type_sum(r, n), "p")
     return series_report(identity, {"order": order}, lhs, rhs)
@@ -233,8 +225,8 @@ def _descent_check(identity: str, r: int, order: int) -> VerificationReport:
     Also verifies that the t-specialization commutes with the underlying
     symmetric-function identity on both sides.
     """
+    refuse(identity, order)
     s = r - 1
-    check_type_sum_limit(order - s)
     closed = TruncatedSeries.from_egf_coefficients(
         QT, order, [_closed_coefficient(r, n) for n in range(order + 1)]
     )
@@ -271,7 +263,7 @@ def check_thm17(order: int = 8) -> VerificationReport:
 
 def check_eulerian_oracle(n: int = 6) -> VerificationReport:
     """Descent polynomials agree with a descent tally over every word."""
-    check_word_budget(n, 2)
+    refuse("eulerian_oracle", n)
     cases = (
         (f"(n={k}, r={r})", eulerian_polynomial(k, r), eulerian_brute_force(k, r))
         for r in (1, 2)
@@ -300,7 +292,7 @@ def check_htoe(n: int = 8) -> VerificationReport:
     """h_k equals the signed sum of e over compositions, for k = 0..n."""
     # convert(h_n, "e") would refuse n only after building the matrices of
     # every smaller degree
-    _check_cap(n, DEFAULT_DEGREE_CAP)
+    refuse("htoe", n)
     cases = (
         (f"h_{k}", convert(_h(k), "e"), _signed_composition_sum(k))
         for k in range(n + 1)
@@ -311,7 +303,7 @@ def check_htoe(n: int = 8) -> VerificationReport:
 def check_lemma52(n: int = 8) -> VerificationReport:
     """E(h_k) = t (t-1)^(k-1) for k = 1..n; n above ``TYPE_SUM_MAX_N`` is
     refused before any specialization."""
-    check_type_sum_limit(n)
+    refuse("lemma52", n)
     cases = (
         (f"h_{k}", specialize_E(_h(k)), T * (T - ONE) ** (k - 1))
         for k in range(1, n + 1)
@@ -350,12 +342,12 @@ def check_equidistribution(n: int | None = None, r: int | None = None) -> Verifi
 
     With no arguments runs the default battery: r=1 up to n=6, r=2 up to
     n=6, r=3 up to n=5.  A given size above the word or typing limit of
-    :func:`~stirlingsym.stirling.check_typing_budget` is refused up front.
+    :func:`~stirlingsym.limits.check_typing_budget` is refused up front.
     """
     if (n is None) != (r is None):
         raise ValueError("give both n and r, or neither")
     if n is not None:
-        check_typing_budget(n, r)
+        refuse("equidist", n, r)
         sizes = [(n, r)]
         params = {"n": n, "r": r}
     else:
@@ -380,7 +372,7 @@ def check_tree_permutation(n: int = 7) -> VerificationReport:
     adjacent type multiset over Q(k-1, 2); Comb matches the terminally nested
     types; and the tree count is (2k-3)!!.
     """
-    check_typing_budget(max(n - 1, 0), 2)
+    refuse("treeperm", n)
 
     def cases():
         for k in range(1, n + 1):
@@ -423,7 +415,7 @@ def check_forbidden(order: int = 5) -> VerificationReport:
     """Signed EGFs of the forbidden chains equal the alternating h series."""
     # refuse an order whose reference h_(order-1) exceeds the cap before the
     # chains are enumerated
-    _check_cap(order - 1, DEFAULT_DEGREE_CAP)
+    refuse("forbidden", order)
 
     def cases():
         for kind in ("lyn", "comb"):
@@ -439,8 +431,7 @@ def check_forbidden(order: int = 5) -> VerificationReport:
 def check_drake(order: int = 6) -> VerificationReport:
     """Compositional inverse of the forbidden-chain EGF enumerates the
     colored trees, coefficient by coefficient, for both coloring conditions."""
-    if order > COLORED_MAX_N:
-        raise ValueError(f"order={order} exceeds the colored-tree limit {COLORED_MAX_N}")
+    refuse("drake", order)
 
     def cases():
         for kind in ("lyn", "comb"):
@@ -455,57 +446,13 @@ def check_drake(order: int = 6) -> VerificationReport:
     return first_mismatch("drake", {"order": order}, cases())
 
 
-# ---------------------------------------------------------------------------
-# generic series inversion through the h-expansions
-# ---------------------------------------------------------------------------
-
-
-#: The family r whose inversion each ``invert_egf_numeric`` kind performs.
-_FAMILY = {"mult": 1, "comp": 2}
-
-
-def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
-    """Coefficients of the inverse EGF via the h-expansion evaluations.
-
-    ``f`` lists the semantic coefficients f_n of y^n/n!.  Kind "mult" inverts
-    family r = 1, kind "comp" family r = 2; with s = r - 1 and the lead
-    coefficient f_s, the n-th semantic output coefficient is
-    (-1)^(n-s) c_n F(n-s, r) evaluated at h_i = f_(i+s)/f_s, where
-    c_n = f_0^(-1) for "mult" and f_1^(-n) for "comp" (and 0 for n < s).
-    The type sums stay in the e basis: :func:`evaluate_h` derives the images
-    of e_k from the values of h_k, so no basis conversion (and no degree
-    cap) is involved.  Must agree with the direct triangular inversions.
-    """
-    f = [Fraction(x) for x in f]
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if len(f) < order + 1:
-        raise ValueError("need coefficients up to the requested order")
-    if kind == "mult" and f[0] == 0:
-        raise ValueError("multiplicative inverse needs f_0 != 0")
-    if kind == "comp" and (len(f) < 2 or f[0] != 0 or f[1] == 0):
-        raise ValueError("compositional inverse needs f_0 = 0 and f_1 != 0")
-    if kind not in _FAMILY:
-        raise ValueError("kind must be 'mult' or 'comp'")
-    r = _FAMILY[kind]
-    s = r - 1
-    check_type_sum_limit(order - s)
-    lead = f[s]
-    values = {i: f[i + s] / lead for i in range(1, order + 1 - s)}
-    out = [Fraction(0)] * s
-    for n in range(s, order + 1):
-        scale = 1 / lead if r == 1 else lead ** -n
-        out.append((-1) ** (n - s) * scale * evaluate_h(_type_sum(r, n), values))
-    return out
-
-
 def check_inversion(order: int = 6, samples: int = 50) -> VerificationReport:
     """The h-expansion inversion route agrees with direct triangular solves.
 
     Exercised on the two classical analytic pairs (exp and its reciprocal,
     exp-1 and log(1+y)) and on `samples` random rational EGFs per kind.
     """
-    check_type_sum_limit(order)  # the route of kind "mult" sums types up to order
+    refuse("inversion", order)  # the route of kind "mult" sums types up to order
     rng = random.Random(271828)
 
     def rand_frac():

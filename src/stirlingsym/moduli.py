@@ -37,15 +37,11 @@ from itertools import product
 from math import comb, factorial, prod
 from operator import add, le, mul
 
+from .limits import WP_MAX_N, refuse  # WP_MAX_N keeps its name here
 from .partitions import Partition, check_partition, multiplicities, partitions_of, z_of
 from .report import VerificationReport, first_mismatch
 from .stirling import stirling_symfunc
-from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, _check_cap, convert
-
-#: Largest |lam| that :func:`wp_volume` evaluates.  On a 2-vCPU Xeon VM with
-#: Python 3.11 the slowest partition of 30, (5,4,3,3,2,2,2,1^9), takes about
-#: 2 s and the slowest of 31 about 2.6 s.
-WP_MAX_N = 30
+from .symfunc import SymFunc, convert
 
 
 def _box_polynomial(parts, mults, scale: int) -> dict[tuple[int, ...], int]:
@@ -75,10 +71,8 @@ def wp_volume(lam: Partition) -> Fraction:
     A partition of more than ``WP_MAX_N`` is refused before any work.
     """
     lam = check_partition(lam)
+    refuse("wp", lam)
     n = sum(lam)
-    if n > WP_MAX_N:
-        raise ValueError(f"|lambda| = {n} exceeds the volume limit {WP_MAX_N} "
-                         "(moduli.WP_MAX_N)")
     counted = sorted(multiplicities(lam).items())
     parts = tuple(p for p, _ in counted)
     mults = tuple(m for _, m in counted)
@@ -109,7 +103,7 @@ def check_thm65(n: int = 5) -> VerificationReport:
     """
     # convert would meet the cap at degree n only after building the
     # matrices of every smaller degree
-    _check_cap(n, DEFAULT_DEGREE_CAP)
+    refuse("thm65", n)
     details: list[str] = []
 
     def cases():

@@ -24,17 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, groupby
 
+from .limits import (  # INTERVAL_MAX_ELEMENTS keeps its name here
+    INTERVAL_MAX_ELEMENTS,
+    interval_elements,
+    refuse,
+)
 from .partitions import partitions_of, trim, weak_compositions, wcomp_add, wcomp_leq
 from .report import VerificationReport, first_mismatch
 from .stirling import stirling_symfunc
 from .symfunc import convert
-
-#: Largest interval that ``interval`` materializes.  Its order, one down-set
-#: bitset per element, is built one pair of set-partition (or subset) groups
-#: at a time: each interval accepted is ordered, validated and inverted in at
-#: most about 1.1 s, and "pi" at n=6 below (1, 1, 1, 1, 1), 4,657 elements,
-#: would take about 3 s (2-vCPU Xeon VM, Python 3.11).
-INTERVAL_MAX_ELEMENTS = 2_000
 
 
 def set_partitions(ground):
@@ -174,17 +172,9 @@ def _subset_elements(n: int, mu):
                     yield (subset, trim(nu))
 
 
-def _listed(kind: str, n: int, mu):
-    """Stream the elements of the interval below mu, refusing it as soon as
-    listing passes ``INTERVAL_MAX_ELEMENTS``, before any order is built."""
-    list_elements = _partition_elements if kind == "pi" else _subset_elements
-    for count, element in enumerate(list_elements(n, mu)):
-        if count == INTERVAL_MAX_ELEMENTS:
-            raise ValueError(
-                f"the {kind} interval at n={n} below mu={mu} has more than "
-                f"{INTERVAL_MAX_ELEMENTS} elements, the interval limit "
-                "(posets.INTERVAL_MAX_ELEMENTS)")
-        yield element
+def _elements(kind: str, n: int, mu):
+    """Stream the elements of the interval below mu."""
+    return (_partition_elements if kind == "pi" else _subset_elements)(n, mu)
 
 
 def interval(kind: str, n: int, mu) -> Interval:
@@ -198,7 +188,8 @@ def interval(kind: str, n: int, mu) -> Interval:
         raise ValueError(f"mu={tuple(mu)} has a negative part {negative[0]}")
     if kind not in ("pi", "b"):
         raise ValueError("kind must be 'pi' or 'b'")
-    elements = list(_listed(kind, n, trim(mu)))
+    mu = trim(mu)
+    elements = interval_elements(kind, n, mu, _elements(kind, n, mu))
     # a weighted subset orders as a weighted partition of one block
     blocked = elements if kind == "pi" else [(e,) for e in elements]
     return Interval(elements, _down_sets(blocked))
@@ -224,11 +215,10 @@ def _check_poset(identity: str, kind: str, nmax: int) -> VerificationReport:
         tops += [(n, lam, None) for lam in shapes]
         tops += [(n, mu, lam) for lam in probes
                  for mu in ((lam[-1],) + lam[1:-1] + (lam[0],), (0,) + lam)]
-    # count every interval before any is built, so an n with an interval
+    # list every interval before any is built, so an n with an interval
     # over the limit is refused before the smaller n run
     for n, mu, _ in tops:
-        for _ in _listed(kind, n, mu):
-            pass
+        refuse(identity, kind, n, mu, _elements(kind, n, mu))
 
     def cases():
         for n, mu, lam in tops:

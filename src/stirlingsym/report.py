@@ -8,10 +8,7 @@ is the same for the coefficients of two truncated series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class VerificationReport:
     """Outcome of one named identity check.
 
@@ -21,15 +18,17 @@ class VerificationReport:
     optional human-readable notes (e.g. which sign rule matched).
     """
 
-    identity: str
-    params: dict
-    passed: bool
-    discrepancy: dict | None = None
-    details: list[str] = field(default_factory=list)
+    __slots__ = ("identity", "params", "passed", "discrepancy", "details")
 
-    def __post_init__(self):
-        if not self.passed and not self.discrepancy:
+    def __init__(self, identity: str, params: dict, passed: bool,
+                 discrepancy: dict | None = None, details=()):
+        if not passed and not discrepancy:
             raise ValueError("a failing report must pinpoint a discrepancy")
+        self.identity = identity
+        self.params = params
+        self.passed = passed
+        self.discrepancy = discrepancy
+        self.details = list(details)
 
     def to_json(self) -> dict:
         out = {"identity": self.identity}
@@ -71,7 +70,7 @@ def first_mismatch(identity: str, params: dict, cases,
             return VerificationReport(
                 identity, params, False, {"location": spot, "lhs": va, "rhs": vb}
             )
-    return VerificationReport(identity, params, True, details=list(details))
+    return VerificationReport(identity, params, True, details=details)
 
 
 def coefficient_pairs(lhs, rhs):

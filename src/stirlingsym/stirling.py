@@ -29,6 +29,9 @@ counts.  Enumeration is the oracle that the tests and ``verify`` compare
 them with: one lexicographic walk (:func:`enumerate_stirling_backtrack`)
 streams the words of Q(n, r) in O(nr) memory, and
 :func:`enumerate_stirling` validates each word it yields.
+
+:func:`invert_egf_numeric`, the route of the ``invert`` verb, inverts an EGF
+by evaluating these type sums.
 """
 
 from __future__ import annotations
@@ -36,31 +39,19 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
+from .limits import (  # the limits keep their names here
+    ENUMERATION_MAX_WORDS,
+    TYPE_SUM_MAX_N,
+    TYPING_MAX_WORK,
+    _check_size,
+    check_type_sum_limit,
+    refuse,
+)
 from .partitions import Partition, chain_type, sort_to_partition
-from .symfunc import SymFunc, TPoly
+from .symfunc import SymFunc, TPoly, evaluate_h
 
 TYPE_KINDS = ("AA", "DA", "TN", "IN")
-
-#: Largest n for which :func:`stirling_symfunc` builds F(n, r).  The type
-#: recurrence visits every partition of every m <= n, about x4 work per five
-#: steps of n: for r = 2 it took 1.35 s at n = 30 and 12.6 s at n = 40, and
-#: n = 60 would run for hours.  Larger n is refused before any work.
-TYPE_SUM_MAX_N = 30
-
-#: Largest |Q(n, r)| that a ``verify`` check enumerates for a user-given size.
-#: Q(8, 2) has 2,027,025 words: ``verify --identity eulerian_oracle --n 8``
-#: walks it and every smaller Q(k, 1) and Q(k, 2) in 16.3 s on a 2-vCPU VM.
-#: Q(9, 2) has 34,459,425 words and is refused before any word is built.
-ENUMERATION_MAX_WORDS = 2_500_000
-
-#: Largest |Q(n, r)| * 2r * nr that ``verify --identity equidist`` types for a
-#: user-given size: each word is typed for 2r kinds at O(nr) each.  Among the
-#: accepted sizes Q(9, 1) (6,531,840) took 15.8 s and Q(7, 2) (7,567,560)
-#: 12.4 s on a 2-vCPU VM; Q(2, 200) (32,160,000) took 11.1 s, and Q(2, 1000)
-#: would run for about 17 minutes.
-TYPING_MAX_WORK = 8_000_000
 
 
 class StirlingPerm:
@@ -68,7 +59,7 @@ class StirlingPerm:
 
     Immutable, and equal (and equally hashed) exactly when word, n and r are.
     A plain slots class: the tally verbs never build one, and a dataclass
-    would make every start-up import ``dataclasses`` and ``inspect``.
+    would make every start-up import ``dataclasses`` and what it imports.
     """
 
     __slots__ = ("word", "n", "r")
@@ -132,40 +123,6 @@ class StirlingPerm:
 
     def to_json(self):
         return list(self.word)
-
-
-def _check_size(n: int, r: int) -> None:
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
-
-
-def _word_count(n: int, r: int) -> int:
-    return prod((k - 1) * r + 1 for k in range(1, n + 1))
-
-
-def check_word_budget(n: int, r: int) -> None:
-    """Refuse, before any word is built, a Q(n, r) above the enumeration limit."""
-    _check_size(n, r)
-    count = _word_count(n, r)
-    if count > ENUMERATION_MAX_WORDS:
-        raise ValueError(f"Q({n},{r}) has {count} words, over the enumeration "
-                         f"limit {ENUMERATION_MAX_WORDS}")
-
-
-def check_typing_budget(n: int, r: int) -> None:
-    """Refuse, before any word is built, typing Q(n, r) for all 2r kinds when
-    that costs more than ``TYPING_MAX_WORK`` or the word budget."""
-    check_word_budget(n, r)
-    work = _word_count(n, r) * 2 * r * n * r
-    if work > TYPING_MAX_WORK:
-        raise ValueError(f"typing Q({n},{r}) for {2 * r} kinds costs {work} steps, "
-                         f"over the typing limit {TYPING_MAX_WORK}")
-
-
-def check_type_sum_limit(n: int) -> None:
-    """Refuse, before any work, a type sum F(n, r) above ``TYPE_SUM_MAX_N``."""
-    if n > TYPE_SUM_MAX_N:
-        raise ValueError(f"n={n} exceeds the type-sum limit {TYPE_SUM_MAX_N}")
 
 
 def enumerate_stirling(n: int, r: int) -> Iterator[StirlingPerm]:
@@ -346,3 +303,53 @@ def eulerian_brute_force(n: int, r: int) -> TPoly:
         d = sum(1 for i in range(len(padded) - 1) if padded[i] > padded[i + 1])
         tally[d] = tally.get(d, 0) + 1
     return TPoly({d: Fraction(c) for d, c in tally.items()})
+
+
+# ---------------------------------------------------------------------------
+# generic series inversion through the type sums
+# ---------------------------------------------------------------------------
+
+
+def _type_sum(r: int, n: int) -> SymFunc:
+    """F(n-s, r) with s = r - 1, the inverse's coefficient of y^n/n!; 0 for n < s."""
+    s = r - 1
+    return SymFunc.zero("e") if n < s else stirling_symfunc(n - s, r)
+
+
+#: The family r whose inversion each ``invert_egf_numeric`` kind performs.
+_FAMILY = {"mult": 1, "comp": 2}
+
+
+def invert_egf_numeric(kind: str, f, order: int) -> list[Fraction]:
+    """Coefficients of the inverse EGF via the h-expansion evaluations.
+
+    ``f`` lists the semantic coefficients f_n of y^n/n!.  Kind "mult" inverts
+    family r = 1, kind "comp" family r = 2; with s = r - 1 and the lead
+    coefficient f_s, the n-th semantic output coefficient is
+    (-1)^(n-s) c_n F(n-s, r) evaluated at h_i = f_(i+s)/f_s, where
+    c_n = f_0^(-1) for "mult" and f_1^(-n) for "comp" (and 0 for n < s).
+    The type sums stay in the e basis: :func:`evaluate_h` derives the images
+    of e_k from the values of h_k, so no basis conversion (and no degree
+    cap) is involved.  Must agree with the direct triangular inversions.
+    """
+    f = [Fraction(x) for x in f]
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if len(f) < order + 1:
+        raise ValueError("need coefficients up to the requested order")
+    if kind == "mult" and f[0] == 0:
+        raise ValueError("multiplicative inverse needs f_0 != 0")
+    if kind == "comp" and (len(f) < 2 or f[0] != 0 or f[1] == 0):
+        raise ValueError("compositional inverse needs f_0 = 0 and f_1 != 0")
+    if kind not in _FAMILY:
+        raise ValueError("kind must be 'mult' or 'comp'")
+    refuse("invert", kind, order)
+    r = _FAMILY[kind]
+    s = r - 1
+    lead = f[s]
+    values = {i: f[i + s] / lead for i in range(1, order + 1 - s)}
+    out = [Fraction(0)] * s
+    for n in range(s, order + 1):
+        scale = 1 / lead if r == 1 else lead ** -n
+        out.append((-1) ** (n - s) * scale * evaluate_h(_type_sum(r, n), values))
+    return out

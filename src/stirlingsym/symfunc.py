@@ -38,6 +38,7 @@ from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
+from .limits import DEFAULT_DEGREE_CAP, DegreeCapError, _check_cap
 from .partitions import (
     Partition,
     check_partition,
@@ -48,25 +49,6 @@ from .partitions import (
 )
 
 BASES = ("m", "e", "h", "p", "s")
-
-#: Largest homogeneous degree the package will convert or multiply by default.
-#: Operations that would exceed the cap raise DegreeCapError instead of
-#: silently truncating.  The type sums of :mod:`stirlingsym.stirling` have
-#: their own size limit, ``stirling.TYPE_SUM_MAX_N``, since the default basis
-#: ``e`` converts nothing and so meets no degree cap.
-DEFAULT_DEGREE_CAP = 8
-
-
-class DegreeCapError(ValueError):
-    """Raised when an operation would exceed the configured degree cap."""
-
-
-def _check_cap(degree: int, cap: int) -> None:
-    if degree > cap:
-        raise DegreeCapError(
-            f"degree {degree} exceeds the cap {cap}; pass a larger cap explicitly"
-        )
-
 
 # ---------------------------------------------------------------------------
 # polynomials in d variables, used to build the e <-> h and e/h <-> m matrices

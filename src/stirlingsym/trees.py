@@ -25,10 +25,15 @@ The types and the colorings read its records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .limits import (  # the limits keep their names here
+    COLORED_MAX_N,
+    NORMALIZED_MAX_N,
+    check_colored_limit,
+    check_normalized_limit,
+)
 from .partitions import (
     Partition,
     WeakComposition,
@@ -71,12 +76,6 @@ def _tree_sort_key(t):
     return (leaves(t), shape)
 
 
-#: Largest n for which :func:`enumerate_normalized` builds the trees: n = 9
-#: gives 2,027,025 trees in about 40 s at a 1.5 GB peak, and n = 10 would need
-#: 17 times that, so larger n is refused before any tree is built.
-NORMALIZED_MAX_N = 9
-
-
 def enumerate_normalized(n: int) -> list[Tree]:
     """All normalized trees on [n]; (2n-3)!! of them for n >= 2.
 
@@ -88,8 +87,7 @@ def enumerate_normalized(n: int) -> list[Tree]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > NORMALIZED_MAX_N:
-        raise ValueError(f"n={n} exceeds the normalized-tree limit {NORMALIZED_MAX_N}")
+    check_normalized_limit(n)
     trees: list[Tree] = [1]
     for m in range(2, n + 1):
         trees = [grown for t in trees for grown in _attach(t, m)]
@@ -106,12 +104,18 @@ def _attach(t, m: int):
             yield (t[0], right)
 
 
-@dataclass
 class _NodeInfo:
-    index: int
-    left_index: int | None
-    right_index: int | None
-    chain_node: bool
+    """One internal node: its preorder index, those of its internal children
+    (None for a leaf child) and its chain flag."""
+
+    __slots__ = ("index", "left_index", "right_index", "chain_node")
+
+    def __init__(self, index: int, left_index: int | None, right_index: int | None,
+                 chain_node: bool):
+        self.index = index
+        self.left_index = left_index
+        self.right_index = right_index
+        self.chain_node = chain_node
 
 
 def analyze(t) -> list[_NodeInfo]:
@@ -163,12 +167,14 @@ def comb_type(t) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ColoredTree:
     """A normalized tree plus one color per internal node, in preorder."""
 
-    tree: Tree
-    colors: tuple[int, ...]
+    __slots__ = ("tree", "colors")
+
+    def __init__(self, tree: Tree, colors: tuple[int, ...]):
+        self.tree = tree
+        self.colors = colors
 
     def content(self) -> WeakComposition:
         counts: dict[int, int] = {}
@@ -252,12 +258,6 @@ def type_generating_function(kind: str, n: int) -> SymFunc:
     return SymFunc("e", {lam: Fraction(c) for lam, c in tally.items()})
 
 
-#: Largest n for which :func:`colored_generating_function` walks the
-#: colorings: n = 6 takes about 1.5 s per kind and n = 7 several minutes, so
-#: larger n is refused before the walk starts.
-COLORED_MAX_N = 6
-
-
 def colored_generating_function(kind: str, n: int) -> SymFunc:
     """Content generating function of the kind's colored trees on [n].
 
@@ -267,8 +267,7 @@ def colored_generating_function(kind: str, n: int) -> SymFunc:
     must agree with :func:`type_generating_function`.  Refuses n above
     ``COLORED_MAX_N``.
     """
-    if n > COLORED_MAX_N:
-        raise ValueError(f"n={n} exceeds the colored-tree limit {COLORED_MAX_N}")
+    check_colored_limit(n)
     if n == 1:
         return SymFunc.one("m")
     width = n - 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pinned_outputs
-from stirlingsym import cli, identities, moduli, posets, stirling, symfunc, trees
+from stirlingsym import cli, identities, limits, moduli, posets, stirling, symfunc, trees
 from stirlingsym.identities import check_drake
 from stirlingsym.partitions import partitions_of
 from stirlingsym.report import VerificationReport
@@ -118,25 +118,13 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     failing = VerificationReport(
         "fake", {"order": 1}, False, {"location": "y^0", "lhs": "0", "rhs": "1"}
     )
-    monkeypatch.setattr(identities, "registry", lambda: {"fake": lambda: failing})
-    code, out, _ = run(capsys, "verify", "--identity", "fake")
+    monkeypatch.setattr(identities, "registry", lambda: {"prop11": lambda: failing})
+    code, out, _ = run(capsys, "verify", "--identity", "prop11")
     assert code == 1
     assert "FAIL" in out
     code, out, _ = run(capsys, "verify", "--identity", "all", "--format", "json")
     assert code == 1
     assert json.loads(out)["pass"] is False
-
-
-@pytest.mark.parametrize("identity", ["prop12", "thm14"])
-def test_verify_order_meets_the_degree_cap(capsys, identity):
-    # the order-9 inverse has coefficients up to degree 8 = the default cap;
-    # an inversion that formed a degree-9 intermediate would exit 2 here
-    code, out, err = run(capsys, "verify", "--identity", identity, "--order", "9")
-    assert (code, err) == (0, "")
-    assert out.startswith(f"{identity} [order=9]: pass")
-    code, out, err = run(capsys, "verify", "--identity", identity, "--order", "10")
-    assert (code, out) == (2, "")
-    assert "exceeds the cap 8" in err
 
 
 @pytest.mark.parametrize(
@@ -148,6 +136,19 @@ def test_specializations_meet_no_degree_cap(capsys, argv):
     code, out, err = run(capsys, "verify", "--identity", *argv)
     assert (code, err) == (0, "")
     assert ": pass" in out
+
+
+@pytest.mark.parametrize("identity", ["prop12", "thm14"])
+def test_verify_order_meets_the_degree_cap(capsys, identity):
+    # the order-9 inverse has coefficients up to degree 8 = the default cap;
+    # an inversion that formed a degree-9 intermediate would exit 2 here
+    refused = pinned_outputs.argv(f"refused-{identity}-order10")
+    code, out, err = run(capsys, *_one_step_below(refused, "--order"))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{identity} [order=9]: pass")
+    code, out, err = run(capsys, *refused)
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 8" in err
 
 
 def test_htoe_still_meets_the_degree_cap(capsys):
@@ -166,105 +167,185 @@ def test_htoe_refuses_large_n_before_any_conversion(capsys, monkeypatch):
     assert "degree 9 exceeds the cap 8" in err
 
 
-def test_enumerate_trees_refuses_large_n_before_any_work(capsys, monkeypatch):
-    def no_attach(*args):
-        raise AssertionError("no tree may be built")
-
-    monkeypatch.setattr(trees, "_attach", no_attach)
-    code, out, err = run(capsys, *pinned_outputs.argv("refused-trees-n10"))
-    assert (code, out) == (2, "")
-    assert f"exceeds the normalized-tree limit {trees.NORMALIZED_MAX_N}" in err
-    assert trees.NORMALIZED_MAX_N == 9
-
-
-def test_drake_refuses_large_order_before_any_work(capsys, monkeypatch):
-    class ColoringWalk(Exception):
-        pass
-
-    def walk(*args):
-        raise ColoringWalk
-
-    monkeypatch.setattr(trees, "_colorings", walk)
-    code, out, err = run(capsys, *pinned_outputs.argv("refused-drake-order7"))
-    assert (code, out) == (2, "")
-    assert f"exceeds the colored-tree limit {trees.COLORED_MAX_N}" in err
-    assert trees.COLORED_MAX_N == 6
-    # the limit itself is accepted: the check reaches the walk; that it passes
-    # is pinned by the verify-all entries of the output manifest
-    with pytest.raises(ColoringWalk):
-        check_drake(6)
-
-
-@pytest.mark.parametrize("poset, n, mu", [
-    ("pi", "6", "1,1,1,1,1"),
-    ("pi", "8", "7"),
-    ("b", "12", "6,6"),
-])
+@pytest.mark.parametrize("argv", [
+    pinned_outputs.argv("refused-mobius-pi-6-11111"),
+    ["mobius", "--poset", "pi", "--n", "8", "--mu", "7"],
+    ["mobius", "--poset", "b", "--n", "12", "--mu", "6,6"],
+], ids=["pi-6-1,1,1,1,1", "pi-8-7", "b-12-6,6"])
 def test_mobius_refuses_a_large_interval_before_building_its_order(
-        capsys, monkeypatch, poset, n, mu):
+        capsys, monkeypatch, argv):
     def no_order(elements):
         raise AssertionError("the order must not be built")
 
     monkeypatch.setattr(posets, "_down_sets", no_order)
-    code, out, err = run(capsys, "mobius", "--poset", poset, "--n", n, "--mu", mu)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
             "interval limit (posets.INTERVAL_MAX_ELEMENTS)") in err
 
 
-_TYPE_SUM_REFUSAL = f"n=31 exceeds the type-sum limit {stirling.TYPE_SUM_MAX_N}"
-_CAP_REFUSAL = "degree 9 exceeds the cap 8; pass a larger cap explicitly"
-_EXPAND_CAP_REFUSAL = "degree 30 exceeds the cap 8; pass a larger cap explicitly"
-_INTERVAL_REFUSAL = (f"has more than {posets.INTERVAL_MAX_ELEMENTS} elements, the "
-                     "interval limit (posets.INTERVAL_MAX_ELEMENTS)")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--identity", "equidist", "--n", "9", "--r", "2"],
+        pinned_outputs.argv("refused-eulerian_oracle-n9"),
+        ["verify", "--identity", "treeperm", "--n", "10"],
+    ],
+)
+def test_enumerating_checks_refuse_large_n_before_any_word(capsys, monkeypatch, argv):
+    def no_walk(n, r):
+        raise AssertionError("the word walk must not start")
 
-
-@pytest.mark.parametrize("argv, owner, step, message", [
-    (pinned_outputs.argv("refused-thm62-n6"), posets, "_down_sets",
-     _INTERVAL_REFUSAL),
-    (pinned_outputs.argv("refused-thm64-n9"), posets, "_down_sets",
-     _INTERVAL_REFUSAL),
-    (pinned_outputs.argv("refused-riordan-order31"), TruncatedSeries, "inv",
-     _TYPE_SUM_REFUSAL),
-    (pinned_outputs.argv("refused-inversion-order31"), TruncatedSeries, "inv",
-     _TYPE_SUM_REFUSAL),
-    # comp_inverse inverts through inv
-    (pinned_outputs.argv("refused-thm17-order32"), TruncatedSeries, "inv",
-     _TYPE_SUM_REFUSAL),
-    (pinned_outputs.argv("refused-lemma52-n31"), identities, "specialize_E",
-     _TYPE_SUM_REFUSAL),
-    (pinned_outputs.argv("refused-invert-mult-32-coeffs"), stirling,
-     "_type_tally", _TYPE_SUM_REFUSAL),
-    (pinned_outputs.argv("refused-forbidden-order10"), identities, "convert",
-     _CAP_REFUSAL),
-    (pinned_outputs.argv("refused-prop12-order10"), identities, "convert",
-     _CAP_REFUSAL),
-    (pinned_outputs.argv("refused-thm65-n9"), moduli, "convert", _CAP_REFUSAL),
-    # Q(8, 2) fits the word limit, but typing it and the trees of [9] does not
-    (pinned_outputs.argv("refused-treeperm-n9"), identities, "enumerate_normalized",
-     f"over the typing limit {stirling.TYPING_MAX_WORK}"),
-    (["wp", "--lambda", ",".join(["1"] * (moduli.WP_MAX_N + 1))], moduli,
-     "_box_polynomial", f"exceeds the volume limit {moduli.WP_MAX_N} (moduli.WP_MAX_N)"),
-    (pinned_outputs.argv("refused-tables-nmax9"), symfunc, "convert", _CAP_REFUSAL),
-    # the interval below (6, 3) is accepted; its type sum has degree 9
-    (pinned_outputs.argv("refused-mobius-b-9-63-verify"), posets,
-     "_down_sets", _CAP_REFUSAL),
-    (["expand", "--n", "30", "--r", "2", "--basis", "m"], stirling, "_type_tally",
-     _EXPAND_CAP_REFUSAL),
-    (pinned_outputs.argv("refused-expand-DA-j5"), stirling,
-     "_type_tally", "kind DA takes no j; j must be 1, got 5"),
-], ids=["thm62", "thm64", "riordan", "inversion", "thm17", "lemma52", "invert", "forbidden",
-        "prop12", "thm65", "treeperm", "wp", "tables", "mobius-verify", "expand",
-        "expand-j"])
-def test_sizes_are_refused_before_any_work(capsys, monkeypatch, argv, owner, step,
-                                           message):
-    def no_work(*args):
-        raise AssertionError(f"{step} must not run")
-
-    monkeypatch.setattr(owner, step, no_work)
+    monkeypatch.setattr(stirling, "_walk", no_walk)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
+    assert f"over the enumeration limit {stirling.ENUMERATION_MAX_WORDS}" in err
+    # eulerian_oracle --n 8 walks Q(8, 2), 2,027,025 words, and stays accepted
+    limits.check_word_budget(8, 2)
+
+
+@pytest.mark.parametrize("r", [126, 1000])
+def test_equidist_refuses_typing_work_before_any_word(capsys, monkeypatch, r):
+    # Q(2, r) has only r + 1 words, but each is typed for 2r kinds at O(r)
+    def no_walk(n, r):
+        raise AssertionError("the word walk must not start")
+
+    monkeypatch.setattr(stirling, "_walk", no_walk)
+    code, out, err = run(capsys, *pinned_outputs.argv(f"refused-equidist-r{r}"))
+    assert (code, out) == (2, "")
+    assert f"over the typing limit {stirling.TYPING_MAX_WORK}" in err
+    # Q(2, 125), the sizes of the default battery and the Q(7, 2) of
+    # treeperm --n 8 stay accepted
+    limits.check_typing_budget(2, 125)
+    for n, r in [(6, 1), (6, 2), (5, 3), (7, 2)]:
+        limits.check_typing_budget(n, r)
+
+
+class Reached(Exception):
+    """Raised by the expensive layer that the walk patches."""
+
+
+_CAP = (f"degree {limits.DEFAULT_DEGREE_CAP + 1} exceeds the cap "
+        f"{limits.DEFAULT_DEGREE_CAP}; pass a larger cap explicitly")
+_TYPE_SUM = f"n={limits.TYPE_SUM_MAX_N + 1} exceeds the type-sum limit {limits.TYPE_SUM_MAX_N}"
+_WORDS = f"over the enumeration limit {limits.ENUMERATION_MAX_WORDS}"
+_TYPING = f"over the typing limit {limits.TYPING_MAX_WORK}"
+_INTERVAL = (f"has more than {limits.INTERVAL_MAX_ELEMENTS} elements, the "
+             "interval limit (posets.INTERVAL_MAX_ELEMENTS)")
+
+# The walk over limits.ROWS, one boundary per entry: the id (its row's name,
+# then a suffix when a row has more than one boundary), the manifest entry
+# refused one step past the limit, the option that steps back to the limit,
+# the expensive layer, and the refusal message.  A command whose limit is
+# not one option's step states its accepted argv in full instead.
+WALK = [
+    ("prop11", "refused-prop11-order9", "--order", (identities, "convert"), _CAP),
+    ("prop12", "refused-prop12-order10", "--order", (identities, "convert"), _CAP),
+    ("thm13", "refused-thm13-order9", "--order", (identities, "convert"), _CAP),
+    ("thm14", "refused-thm14-order10", "--order", (identities, "convert"), _CAP),
+    ("riordan", "refused-riordan-order31", "--order", (TruncatedSeries, "inv"), _TYPE_SUM),
+    # comp_inverse inverts through inv
+    ("thm17", "refused-thm17-order32", "--order", (TruncatedSeries, "inv"), _TYPE_SUM),
+    ("eulerian_oracle", "refused-eulerian_oracle-n9", "--n", (stirling, "_walk"), _WORDS),
+    ("htoe", "refused-htoe-n9", "--n", (identities, "convert"), _CAP),
+    ("lemma52", "refused-lemma52-n31", "--n", (identities, "specialize_E"), _TYPE_SUM),
+    # Q(2, r) has only r + 1 words, but each is typed for 2r kinds at O(r)
+    ("equidist", "refused-equidist-r126", "--r", (stirling, "_walk"), _TYPING),
+    ("equidist-words", "refused-equidist-n10-r1", "--n", (stirling, "_walk"), _WORDS),
+    # Q(8, 2) fits the word limit, but typing it and the trees of [9] does not
+    ("treeperm", "refused-treeperm-n9", "--n", (identities, "enumerate_normalized"),
+     _TYPING),
+    ("forbidden", "refused-forbidden-order10", "--order",
+     (identities, "forbidden_tree_egf"), _CAP),
+    ("drake", "refused-drake-order7", "--order", (trees, "_colorings"),
+     f"order={limits.COLORED_MAX_N + 1} exceeds the colored-tree limit "
+     f"{limits.COLORED_MAX_N}"),
+    ("inversion", "refused-inversion-order31", "--order", (TruncatedSeries, "inv"),
+     _TYPE_SUM),
+    ("thm62", "refused-thm62-n6", "--n", (posets, "_down_sets"), _INTERVAL),
+    ("thm64", "refused-thm64-n7", "--n", (posets, "_down_sets"), _INTERVAL),
+    ("thm65", "refused-thm65-n9", "--n", (moduli, "convert"), _CAP),
+    ("expand", "refused-expand-9-2-p", "--n", (stirling, "_type_tally"), _CAP),
+    ("expand-e", "refused-expand-31-2-e", "--n", (stirling, "_type_tally"), _TYPE_SUM),
+    ("expand-j", "refused-expand-DA-j5",
+     ["expand", "--n", "4", "--r", "2", "--kind", "DA", "--j", "1"],
+     (stirling, "_type_tally"), "kind DA takes no j; j must be 1, got 5"),
+    ("enumerate", "refused-trees-n10", "--n", (trees, "_attach"),
+     f"n={limits.NORMALIZED_MAX_N + 1} exceeds the normalized-tree limit "
+     f"{limits.NORMALIZED_MAX_N}"),
+    ("eulerian", "refused-eulerian-n1424", "--n", (stirling, "_descent_tally"),
+     f"has more than {sys.get_int_max_str_digits()} digits, the limit of integer "
+     "string conversion (sys.get_int_max_str_digits())"),
+    ("invert", "refused-invert-mult-32-coeffs", "--coeffs", (stirling, "_type_tally"),
+     _TYPE_SUM),
+    ("invert-comp", "refused-invert-comp-33-coeffs", "--coeffs",
+     (stirling, "_type_tally"), _TYPE_SUM),
+    ("wp", "refused-wp-31", "--lambda", (moduli, "_box_polynomial"),
+     f"|lambda| = {limits.WP_MAX_N + 1} exceeds the volume limit {limits.WP_MAX_N} "
+     "(moduli.WP_MAX_N)"),
+    ("mobius", "refused-mobius-pi-6-11111",
+     ["mobius", "--poset", "pi", "--n", "6", "--mu", "2,2,1"],
+     (posets, "_down_sets"), _INTERVAL),
+    # the interval below (5, 3) is accepted; at n = 9 the type sum has degree 9
+    ("mobius-verify", "refused-mobius-b-9-63-verify",
+     ["mobius", "--poset", "b", "--n", "8", "--mu", "5,3", "--verify"],
+     (posets, "_down_sets"), _CAP),
+    ("tables", "refused-tables-nmax9", "--nmax", (symfunc, "convert"), _CAP),
+]
+
+
+def _one_step_below(argv: list[str], step) -> list[str]:
+    """The argv at the limit: ``step`` itself when it is a full argv, else
+    argv with that option's value one lower, or one item shorter when it is
+    a comma list."""
+    if isinstance(step, list):
+        return step
+    i = argv.index(step) + 1
+    items = argv[i].split(",")
+    value = ",".join(items[:-1]) if len(items) > 1 else str(int(argv[i]) - 1)
+    return [*argv[:i], value, *argv[i + 1:]]
+
+
+def _sizes(argv: list[str]) -> dict:
+    """The size options of a ``verify`` argv, as the check's keywords."""
+    return {argv[i].removeprefix("--"): int(argv[i + 1]) for i in range(3, len(argv), 2)}
+
+
+def test_the_walk_covers_every_row():
+    walked = {entry_id.split("-")[0] for entry_id, *_ in WALK}
+    assert walked == {name for name, row in limits.ROWS.items() if row.refuse}
+    # equicard takes no size option, so it has no limit to walk
+    assert {name for name, row in limits.ROWS.items() if not row.refuse} == {"equicard"}
+    assert set(identities.registry()) <= set(limits.ROWS)
+    for _, refused_id, *_ in WALK:
+        assert pinned_outputs.entries()[refused_id]["exit"] == 2, refused_id
+
+
+@pytest.mark.parametrize("entry_id, refused_id, step, layer, message", WALK,
+                         ids=[entry[0] for entry in WALK])
+def test_sizes_are_refused_before_any_work(capsys, monkeypatch, entry_id, refused_id,
+                                           step, layer, message):
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(*layer, reached)
+    refused = pinned_outputs.argv(refused_id)
+    accepted = _one_step_below(refused, step)
+    # at the limit the command reaches its expensive layer
+    with pytest.raises(Reached):
+        cli.main(accepted)
+    # one step past it, it exits 2 and leaves the layer untouched
+    code, out, err = run(capsys, *refused)
+    assert (code, out) == (2, "")
     assert message in err
+    if refused[0] == "verify":
+        # a direct library call refuses the same size as well
+        check = identities.registry()[refused[2]]
+        with pytest.raises(Reached):
+            check(**_sizes(accepted))
+        with pytest.raises(ValueError) as info:
+            check(**_sizes(refused))
+        assert message in str(info.value)
 
 
 def test_eulerian_refuses_a_count_it_could_not_print(capsys, monkeypatch):
@@ -283,20 +364,6 @@ def test_eulerian_refuses_a_count_it_could_not_print(capsys, monkeypatch):
     code, out, err = run(capsys, "eulerian", "--n", "3", "--r", "2")
     assert (code, out) == (2, "")
     assert "|Q(3,2)| has more than 1 digits" in err
-
-
-def test_expand_refuses_large_n_before_any_work(capsys, monkeypatch):
-    def no_tally(n, r):
-        raise AssertionError("the type recurrence must not start")
-
-    monkeypatch.setattr(stirling, "_type_tally", no_tally)
-    code, out, err = run(capsys, "expand", "--n", "60", "--r", "2")
-    assert (code, out) == (2, "")
-    assert f"exceeds the type-sum limit {stirling.TYPE_SUM_MAX_N}" in err
-    # the limit itself is accepted
-    monkeypatch.setattr(stirling, "_type_tally", lambda n, r: (((n,), 1),))
-    code, out, _ = run(capsys, "expand", "--n", str(stirling.TYPE_SUM_MAX_N), "--r", "2")
-    assert (code, out) == (0, f"e({stirling.TYPE_SUM_MAX_N})\n")
 
 
 def test_schur_and_power_sum_expansions_build_no_variable_expansion(capsys, monkeypatch):
@@ -395,44 +462,6 @@ def test_series_check_in_p_sees_a_wrong_closed_form(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--identity", "equidist", "--n", "9", "--r", "2"],
-        pinned_outputs.argv("refused-eulerian_oracle-n9"),
-        ["verify", "--identity", "treeperm", "--n", "10"],
-    ],
-)
-def test_enumerating_checks_refuse_large_n_before_any_word(capsys, monkeypatch, argv):
-    def no_walk(n, r):
-        raise AssertionError("the word walk must not start")
-
-    monkeypatch.setattr(stirling, "_walk", no_walk)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert f"over the enumeration limit {stirling.ENUMERATION_MAX_WORDS}" in err
-    # eulerian_oracle --n 8 walks Q(8, 2), 2,027,025 words, and stays accepted
-    stirling.check_word_budget(8, 2)
-
-
-@pytest.mark.parametrize("r", [126, 1000])
-def test_equidist_refuses_typing_work_before_any_word(capsys, monkeypatch, r):
-    # Q(2, r) has only r + 1 words, but each is typed for 2r kinds at O(r)
-    def no_walk(n, r):
-        raise AssertionError("the word walk must not start")
-
-    monkeypatch.setattr(stirling, "_walk", no_walk)
-    code, out, err = run(capsys, "verify", "--identity", "equidist", "--n", "2",
-                         "--r", str(r))
-    assert (code, out) == (2, "")
-    assert f"over the typing limit {stirling.TYPING_MAX_WORK}" in err
-    # Q(2, 125), the sizes of the default battery and the Q(7, 2) of
-    # treeperm --n 8 stay accepted
-    stirling.check_typing_budget(2, 125)
-    for n, r in [(6, 1), (6, 2), (5, 3), (7, 2)]:
-        stirling.check_typing_budget(n, r)
-
-
-@pytest.mark.parametrize(
     "argv, message",
     [
         (["equicard", "--n", "9"], "'equicard' takes no --n; its size options: none"),
@@ -449,17 +478,43 @@ def test_verify_refuses_a_size_option_the_check_does_not_take(capsys, argv, mess
     assert err == f"error: identity {message}\n"
 
 
-@pytest.mark.parametrize("identity", ["prop12", "thm14", "thm17", "inversion"])
-def test_verify_refuses_order_zero_where_a_series_is_inverted(capsys, identity):
-    code, out, err = run(capsys, "verify", "--identity", identity, "--order", "0")
-    assert (code, out, err) == (2, "", "error: order must be at least 1\n")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "prop12", "--order", "0"],
+    pinned_outputs.argv("refused-thm14-order0"),
+    ["verify", "--identity", "thm17", "--order", "0"],
+    ["verify", "--identity", "inversion", "--order", "0"],
+], ids=["prop12", "thm14", "thm17", "inversion"])
+def test_verify_refuses_order_zero_where_a_series_is_inverted(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: order must be at least 1\n")
 
 
-@pytest.mark.parametrize("identity",
-                         ["htoe", "lemma52", "treeperm", "thm62", "thm64", "thm65"])
-def test_verify_refuses_a_negative_size_before_the_check_runs(capsys, identity):
-    code, out, err = run(capsys, "verify", "--identity", identity, "--n", "-1")
-    assert (code, out, err) == (2, "", "error: --n must be nonnegative, got -1\n")
+@pytest.mark.parametrize("argv", [
+    pinned_outputs.argv("refused-htoe-negative-n"),
+    ["verify", "--identity", "lemma52", "--n", "-1"],
+    ["verify", "--identity", "treeperm", "--n", "-1"],
+    ["verify", "--identity", "thm62", "--n", "-1"],
+    ["verify", "--identity", "thm64", "--n", "-1"],
+    ["verify", "--identity", "thm65", "--n", "-1"],
+], ids=["htoe", "lemma52", "treeperm", "thm62", "thm64", "thm65"])
+def test_verify_refuses_a_negative_size_before_the_check_runs(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: --n must be nonnegative, got -1\n")
+
+
+def test_verify_reads_size_options_from_the_row_not_the_check(capsys, monkeypatch):
+    # a tracer replaces each registry check with a *args, **kwargs wrapper
+    # that carries __wrapped__ but names no option of its own
+    check = identities.check_prop11
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return check(*args, **kwargs)
+
+    wrapper.__wrapped__ = check
+    monkeypatch.setattr(identities, "check_prop11", wrapper)
+    assert run(capsys, "verify", "--identity", "prop11", "--order", "3") == (
+        0, "prop11 [order=3]: pass\n", "")
+    assert calls == [{"order": 3}]
 
 
 def test_verify_keeps_the_order_fallback_and_the_battery_refuses_size_options(

@@ -44,15 +44,27 @@ def test_building_the_parser_loads_no_layer():
 def test_eulerian_loads_only_the_layers_it_runs():
     loaded = _loaded_after(_running("eulerian", "--n", "7", "--r", "2"))
     # no identities, trees, posets, series, moduli or report
-    assert loaded == {"cli", "stirling", "symfunc", "partitions"}
+    assert loaded == {"cli", "stirling", "symfunc", "partitions", "limits"}
+
+
+def test_invert_loads_only_the_layers_it_runs():
+    # invert_egf_numeric lives beside the type sums it evaluates, so the verb
+    # loads no check battery
+    loaded = _loaded_after(_running("invert", "--kind", "mult", "--coeffs", "1,1"))
+    assert loaded == {"cli", "stirling", "symfunc", "partitions", "limits"}
+
+
+_HEAVY = {"dataclasses", "inspect", "json"}
 
 
 @pytest.mark.parametrize("code, unwanted", [
     (PARSER, {"json"}),
-    (_running("eulerian", "--n", "7", "--r", "2"), {"dataclasses", "inspect", "json"}),
-    (_running("expand", "--n", "7", "--r", "2", "--basis", "e"),
-     {"dataclasses", "inspect", "json"}),
-], ids=["parser", "eulerian", "expand-e"])
+    (_running("eulerian", "--n", "7", "--r", "2"), _HEAVY),
+    (_running("expand", "--n", "7", "--r", "2", "--basis", "e"), _HEAVY),
+    (_running("verify", "--identity", "prop11", "--order", "2"), _HEAVY),
+    (_running("invert", "--kind", "mult", "--coeffs", "1,1"), _HEAVY),
+    (_running("mobius", "--poset", "pi", "--n", "3", "--mu", "2,0", "--verify"), _HEAVY),
+], ids=["parser", "eulerian", "expand-e", "verify", "invert", "mobius-verify"])
 def test_tally_verbs_start_without_heavy_standard_modules(code, unwanted):
     present = _modules_after(code) & unwanted
     assert present == set()

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from stirlingsym import posets
+from stirlingsym import limits, posets
 from stirlingsym.partitions import (
     partitions_of,
     trim,
@@ -103,9 +103,9 @@ def test_partition_interval_examples():
 def test_interval_limit_admits_an_interval_of_its_own_size(monkeypatch):
     assert posets.INTERVAL_MAX_ELEMENTS == 2_000
     # pi at n=3 below (2, 0) has 5 elements
-    monkeypatch.setattr(posets, "INTERVAL_MAX_ELEMENTS", 5)
+    monkeypatch.setattr(limits, "INTERVAL_MAX_ELEMENTS", 5)
     assert len(interval("pi", 3, (2, 0)).elements) == 5
-    monkeypatch.setattr(posets, "INTERVAL_MAX_ELEMENTS", 4)
+    monkeypatch.setattr(limits, "INTERVAL_MAX_ELEMENTS", 4)
     with pytest.raises(ValueError, match="more than 4 elements"):
         interval("pi", 3, (2, 0))
 
