@@ -166,9 +166,9 @@ def _cmd_enumerate(args) -> int:
             else:
                 print(sp)
     else:
-        from .trees import enumerate_normalized, render_tree, tree_to_json
+        from .trees import normalized_trees, render_tree, tree_to_json
 
-        for t in enumerate_normalized(args.n):
+        for t in normalized_trees(args.n):
             if args.format == "json":
                 _print_json(tree_to_json(t))
             else:

@@ -10,7 +10,7 @@ re-export each one under its historic name (``stirling.TYPE_SUM_MAX_N``,
 :data:`ROWS` holds one row per check and per sized verb: the size options it
 takes and the refusal it runs, through :func:`refuse`, before any work.  The
 CLI reads a check's ``verify`` options from its row.  The library functions
-that meet a limit on their own (``stirling_symfunc``, ``enumerate_normalized``,
+that meet a limit on their own (``stirling_symfunc``, ``normalized_trees``,
 ``colored_generating_function``, ``convert``, ``posets.interval``) call the
 same refusals.  This module imports nothing from the package.
 """
@@ -46,9 +46,9 @@ ENUMERATION_MAX_WORDS = 2_500_000
 #: would run for about 17 minutes.
 TYPING_MAX_WORK = 8_000_000
 
-#: Largest n for which ``enumerate_normalized`` builds the trees: n = 9 gives
-#: 2,027,025 trees in about 40 s at a 1.5 GB peak, and n = 10 would need 17
-#: times that.
+#: Largest n for which ``normalized_trees`` walks the trees: ``enumerate --what
+#: trees --n 9`` streams 2,027,025 trees in about 34 s at a 17 MB peak, and
+#: n = 10 would take 17 times as long.
 NORMALIZED_MAX_N = 9
 
 #: Largest n for which ``colored_generating_function`` walks the colorings:

@@ -6,6 +6,9 @@ smallest label of every subtree sits in its leftmost leaf; equivalently the
 valency (minimum label) of each internal node equals the valency of its left
 child.  There are (2n-3)!! normalized trees on [n] for n >= 2.
 
+So a normalized tree is its leaf word split at each node; the one
+construction, :func:`normalized_trees`, streams the trees word by word.
+
 An internal node x is a *chain node* (historically: Lyndon node) when its
 left child is a leaf, or when the valency of the right child of its left
 child exceeds the valency of its own right child.  Colorings of internal
@@ -25,7 +28,9 @@ The types and the colorings read its records.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from .limits import (  # the limits keep their names here
@@ -54,54 +59,48 @@ def is_leaf(t) -> bool:
     return isinstance(t, int)
 
 
-def leaves(t) -> list[int]:
-    if is_leaf(t):
-        return [t]
-    return leaves(t[0]) + leaves(t[1])
-
-
-def _tree_sort_key(t):
-    # leaf word first, then shape read in preorder (leaves sort before nodes)
-    shape = []
-
-    def visit(node):
-        if is_leaf(node):
-            shape.append(0)
-        else:
-            shape.append(1)
-            visit(node[0])
-            visit(node[1])
-
-    visit(t)
-    return (leaves(t), shape)
-
-
 def enumerate_normalized(n: int) -> list[Tree]:
-    """All normalized trees on [n]; (2n-3)!! of them for n >= 2.
+    """All normalized trees on [n] as a list, in the order of
+    :func:`normalized_trees`; (2n-3)!! of them for n >= 2."""
+    return list(normalized_trees(n))
 
-    Built by attaching each new largest leaf m as the right sibling of every
-    node of every tree on [m-1]; since m is the largest label the result
-    stays normalized, and each tree arises exactly once.  Output order is
-    canonical: by the left-to-right leaf word, then by shape.  Refuses n
-    above ``NORMALIZED_MAX_N``.
+
+def normalized_trees(n: int) -> Iterator[Tree]:
+    """The normalized trees on [n] in canonical order: by leaf word, then by
+    shape read in preorder, leaves before nodes.
+
+    Walks the words ``(1, *p)`` with ``p`` in lexicographic order and yields
+    each word's trees (:func:`_word_trees`), so memory holds one word's trees,
+    at most Catalan(n-1).  n is checked when called: n < 1 and n above
+    ``NORMALIZED_MAX_N`` are refused before any tree is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_normalized_limit(n)
-    trees: list[Tree] = [1]
-    for m in range(2, n + 1):
-        trees = [grown for t in trees for grown in _attach(t, m)]
-    trees.sort(key=_tree_sort_key)
-    return trees
+    words = permutations(range(2, n + 1))
+    return (t for rest in words for t in _word_trees((1, *rest)))
 
 
-def _attach(t, m: int):
-    yield (t, m)
-    if not is_leaf(t):
-        for left in _attach(t[0], m):
-            yield (left, t[1])
-        for right in _attach(t[1], m):
-            yield (t[0], right)
+def _word_trees(word: tuple[int, ...]) -> list[Tree]:
+    """The normalized trees whose leaf word is ``word``, by preorder shape.
+
+    Every subtree's leaf word starts with its least letter, so a node over
+    ``word[i:j]`` splits it at each k with ``word[k] == min(word[k:j])``.
+    Such spans are filled shortest first, each tree kept with its preorder
+    shape (0 a leaf, 1 a node); shapes differ within a word, so the sort
+    never compares trees.
+    """
+    n = len(word)
+    spans = {(i, i + 1): [((0,), word[i])] for i in range(n)}
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            if word[i] == min(word[i:j]):
+                spans[i, j] = [((1, *left_shape, *right_shape), (left, right))
+                               for k in range(i + 1, j) if word[k] == min(word[k:j])
+                               for left_shape, left in spans[i, k]
+                               for right_shape, right in spans[k, j]]
+    return [t for _, t in sorted(spans[0, n])]
 
 
 class _NodeInfo:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import resource
@@ -270,7 +271,7 @@ WALK = [
     ("expand-j", "refused-expand-DA-j5",
      ["expand", "--n", "4", "--r", "2", "--kind", "DA", "--j", "1"],
      (stirling, "_type_tally"), "kind DA takes no j; j must be 1, got 5"),
-    ("enumerate", "refused-trees-n10", "--n", (trees, "_attach"),
+    ("enumerate", "refused-trees-n10", "--n", (trees, "_word_trees"),
      f"n={limits.NORMALIZED_MAX_N + 1} exceeds the normalized-tree limit "
      f"{limits.NORMALIZED_MAX_N}"),
     ("eulerian", "refused-eulerian-n1424", "--n", (stirling, "_descent_tally"),
@@ -557,6 +558,50 @@ def test_enumerate_streams_under_a_memory_limit_and_stops_at_a_closed_pipe():
         stirling.StirlingPerm(tuple(int(ch) for ch in w), 9, 2)
     assert "Traceback" not in err
     assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
+class _ReaderLeavesAfter(io.StringIO):
+    """A stdout whose reader closes the pipe once ``lines`` lines have come;
+    its descriptor is a file that ``cli.main`` may point at devnull."""
+
+    def __init__(self, lines: int, fd: int):
+        super().__init__()
+        self.lines = lines
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        room = self.lines - self.getvalue().count("\n")
+        taken = "".join(text.splitlines(keepends=True)[:room])
+        super().write(taken)
+        if taken != text:
+            raise BrokenPipeError
+        return len(text)
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_tree_enumeration_streams_and_stops_at_a_closed_pipe(monkeypatch, tmp_path):
+    # the trees of [9] are 2,027,025; one leaf word has at most Catalan(8) = 1,430
+    built = []
+    word_trees = trees._word_trees
+
+    def counted(word):
+        out = word_trees(word)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(trees, "_word_trees", counted)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout = _ReaderLeavesAfter(3, fd)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["enumerate", "--what", "trees", "--n", "9"])
+    finally:
+        os.close(fd)
+    assert code == cli.EXIT_BROKEN_PIPE
+    assert stdout.getvalue() == "*\n  *\n    *\n"
+    assert 0 < sum(built) < 2000
 
 
 def test_invert(capsys):

@@ -48,10 +48,14 @@ def test_pins_are_stated_only_in_the_manifest():
     listed = json.loads(pinned_outputs.MANIFEST.read_text(encoding="utf-8"))
     assert len(listed) == len(pinned_outputs.entries()) == len(
         {tuple(entry["argv"]) for entry in listed})
-    workflow = WORKFLOW.read_text(encoding="utf-8")
-    assert not re.search(r"\b[0-9a-f]{64}\b", workflow)
+    # a copy of the project without .github/ still checks the tests
+    paths = sorted(TESTS.glob("*.py"))
+    if WORKFLOW.is_file():
+        workflow = WORKFLOW.read_text(encoding="utf-8")
+        assert not re.search(r"\b[0-9a-f]{64}\b", workflow)
+        paths.append(WORKFLOW)
     restated = []
-    for path in [*sorted(TESTS.glob("*.py")), WORKFLOW]:
+    for path in paths:
         text = path.read_text(encoding="utf-8")
         runs = list(_string_runs(text)) if path.suffix == ".py" else []
         for entry in listed:
@@ -65,3 +69,6 @@ def test_pins_are_stated_only_in_the_manifest():
             if found:
                 restated.append(f"{path.name}: {entry['id']}")
     assert not restated, "restated outside the manifest: " + ", ".join(restated)
+    if WORKFLOW not in paths:
+        pytest.skip(f"the workflow half: {WORKFLOW.relative_to(TESTS.parent)} is "
+                    "absent, so only tests/*.py were checked")

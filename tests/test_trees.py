@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 import pinned_outputs
-from stirlingsym import cli
+from stirlingsym import cli, limits
 from stirlingsym.partitions import sort_to_partition, trim, weak_compositions
 from stirlingsym.stirling import enumerate_stirling, type_of
 from stirlingsym.symfunc import SymFunc, basis_element, convert
@@ -20,8 +20,8 @@ from stirlingsym.trees import (
     forbidden_tree_egf,
     forbidden_trees,
     is_leaf,
-    leaves,
     lyndon_type,
+    normalized_trees,
     render_tree,
     tree_to_json,
     tree_type,
@@ -87,6 +87,52 @@ def colored_tree_to_json(ct):
     return build(ct.tree)
 
 
+def leaves(t) -> list[int]:
+    if is_leaf(t):
+        return [t]
+    return leaves(t[0]) + leaves(t[1])
+
+
+def attach_oracle(n):
+    """Oracle: every normalized tree on [n], in canonical order, by the
+    attach-then-sort route.
+
+    Each new largest leaf m is attached as the right sibling of every node of
+    every tree on [m-1]; since m is the largest label the result stays
+    normalized, and each tree arises exactly once.  Then all trees are sorted
+    by leaf word, then by shape read in preorder (leaves before nodes).
+    """
+    trees = [1]
+    for m in range(2, n + 1):
+        trees = [grown for t in trees for grown in _attach(t, m)]
+    trees.sort(key=_tree_sort_key)
+    return trees
+
+
+def _attach(t, m):
+    yield (t, m)
+    if not is_leaf(t):
+        for left in _attach(t[0], m):
+            yield (left, t[1])
+        for right in _attach(t[1], m):
+            yield (t[0], right)
+
+
+def _tree_sort_key(t):
+    shape = []
+
+    def visit(node):
+        if is_leaf(node):
+            shape.append(0)
+        else:
+            shape.append(1)
+            visit(node[0])
+            visit(node[1])
+
+    visit(t)
+    return (leaves(t), shape)
+
+
 def recursive_is_normalized(t):
     """Oracle: the defining recursion, valency recomputed at every node."""
     if is_leaf(t):
@@ -142,6 +188,18 @@ def test_counts():
     assert len(enumerate_normalized(6)) == 945
     for n in range(2, 8):
         assert len(enumerate_normalized(n)) == double_factorial(2 * n - 3)
+
+
+def test_word_walk_matches_the_attach_oracle():
+    for n in range(1, 8):
+        assert enumerate_normalized(n) == attach_oracle(n)
+
+
+def test_word_walk_refuses_when_called():
+    # n is checked at the call, not at the first next()
+    for n in (0, -1, limits.NORMALIZED_MAX_N + 1):
+        with pytest.raises(ValueError):
+            normalized_trees(n)
 
 
 def test_enumeration_yields_distinct_normalized_trees():
