@@ -2,11 +2,14 @@
 
 Verbs: expand, enumerate, eulerian, verify, invert, wp, mobius, tables.
 Exit status: 0 on success (and on passing verifications), 1 when a
-verification fails, 2 on usage errors and refused sizes, 3 when the work ran
-out of memory or recursion depth, 130 on Ctrl-C, and 141 (128 + SIGPIPE)
-when the reader closes stdout early, as ``enumerate ... | head`` does.
-Errors are one line on stderr, never a traceback.  All output is
-deterministic.
+verification fails, 2 on a ``ValueError`` (a usage error, a refused size or
+malformed input), 3 when the work ran out of memory or recursion depth, 130
+on Ctrl-C, and 141 (128 + SIGPIPE) when the reader closes stdout early, as
+``enumerate ... | head`` does.  Each of these errors is one line on stderr;
+any other exception is a fault in the package and exits 1 with its
+traceback.  ``main`` returns the code and leaves the caller's streams alone;
+``run``, the process entry, silences stdout after a 141 and exits.  All
+output is deterministic.
 
 Comma-list values may start with a minus sign in either form:
 ``--coeffs -1,2,3`` reads like ``--coeffs=-1,2,3``.
@@ -356,13 +359,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the output is unwanted from here on; send what is still buffered
-        # to devnull, so that the flush at shutdown raises nothing either
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as exc:
@@ -374,5 +372,16 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> None:
+    """The process entry: exit with ``main``'s code, after a 141 with stdout
+    at devnull so that the flush at shutdown raises nothing either."""
+    code = main()
+    if code == EXIT_BROKEN_PIPE:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,7 +1,11 @@
+import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import resource
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -562,12 +566,11 @@ def test_enumerate_streams_under_a_memory_limit_and_stops_at_a_closed_pipe():
 
 class _ReaderLeavesAfter(io.StringIO):
     """A stdout whose reader closes the pipe once ``lines`` lines have come;
-    its descriptor is a file that ``cli.main`` may point at devnull."""
+    like any ``io.StringIO``, it has no descriptor."""
 
-    def __init__(self, lines: int, fd: int):
+    def __init__(self, lines: int):
         super().__init__()
         self.lines = lines
-        self.fd = fd
 
     def write(self, text: str) -> int:
         room = self.lines - self.getvalue().count("\n")
@@ -577,11 +580,8 @@ class _ReaderLeavesAfter(io.StringIO):
             raise BrokenPipeError
         return len(text)
 
-    def fileno(self) -> int:
-        return self.fd
 
-
-def test_tree_enumeration_streams_and_stops_at_a_closed_pipe(monkeypatch, tmp_path):
+def test_tree_enumeration_streams_and_stops_at_a_closed_pipe(monkeypatch):
     # the trees of [9] are 2,027,025; one leaf word has at most Catalan(8) = 1,430
     built = []
     word_trees = trees._word_trees
@@ -592,16 +592,63 @@ def test_tree_enumeration_streams_and_stops_at_a_closed_pipe(monkeypatch, tmp_pa
         return out
 
     monkeypatch.setattr(trees, "_word_trees", counted)
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-    try:
-        stdout = _ReaderLeavesAfter(3, fd)
-        monkeypatch.setattr(sys, "stdout", stdout)
-        code = cli.main(["enumerate", "--what", "trees", "--n", "9"])
-    finally:
-        os.close(fd)
+    stdout = _ReaderLeavesAfter(3)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = cli.main(["enumerate", "--what", "trees", "--n", "9"])
     assert code == cli.EXIT_BROKEN_PIPE
     assert stdout.getvalue() == "*\n  *\n    *\n"
     assert 0 < sum(built) < 2000
+
+
+def test_main_leaves_a_closed_pipe_on_its_descriptor(monkeypatch):
+    # an in-process caller keeps its stdout: main points no descriptor elsewhere
+    read, write = os.pipe()
+    os.close(read)
+    before = os.fstat(write)
+    with contextlib.suppress(BrokenPipeError), open(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["enumerate", "--what", "trees", "--n", "9"])
+        after = os.fstat(write)
+    assert code == cli.EXIT_BROKEN_PIPE
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    assert stat.S_ISFIFO(after.st_mode)
+
+
+@pytest.mark.parametrize("returned", [0, 1, cli.EXIT_BROKEN_PIPE])
+def test_run_exits_with_the_code_and_silences_stdout_only_after_a_closed_pipe(
+        monkeypatch, tmp_path, returned):
+    with open(tmp_path / "stdout", "w") as stdout:
+        before = os.fstat(stdout.fileno())
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(cli, "main", lambda: returned)
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        after = os.fstat(stdout.fileno())
+    assert exited.value.code == returned
+    same = (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    assert same == (returned != cli.EXIT_BROKEN_PIPE)
+    if not same:
+        assert after.st_rdev == os.stat(os.devnull).st_rdev
+
+
+def test_a_fault_in_a_check_is_not_reported_as_a_refusal(monkeypatch):
+    # exit 2 means a ValueError: usage or a refused size; any other exception
+    # is a fault and keeps its traceback
+    def faulty(**sizes):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(identities, "registry", lambda: {"lemma52": faulty})
+    with pytest.raises(KeyError, match="missing"):
+        cli.main(["verify", "--identity", "lemma52"])
+
+
+def test_the_console_script_runs_the_process_entry():
+    # a script bound to main would leave a closed pipe's EPIPE unsilenced;
+    # plain text, since tomllib is absent before Python 3.11
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^\[project\.scripts\]\n(?:[^\[].*\n)*?'
+                             r'stirlingsym\s*=\s*"([\w.]+):(\w+)"$', text, re.M).groups()
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_invert(capsys):

@@ -19,6 +19,34 @@ def test_pinned_output(capsys, battery, entry):
     assert problem is None, problem
 
 
+def test_a_peak_over_its_ceiling_names_the_entry_the_peak_and_the_ceiling():
+    listed = pinned_outputs.entries().values()
+    assert all("max_rss_mb" in entry for entry in listed if entry["exit"] == 0)
+    entry = pinned_outputs.entries()["trees-8-json"]
+    ceiling = entry["max_rss_mb"]
+    assert pinned_outputs.over_ceiling(entry, ceiling) is None
+    assert pinned_outputs.over_ceiling(entry, 102.7) == (
+        f"trees-8-json: peak RSS 102.7 MB, ceiling {ceiling} MB")
+    assert pinned_outputs.over_ceiling({"id": "unbounded"}, 102.7) is None
+
+
+def test_the_subprocess_run_checks_streamed_stdout_exit_and_peak():
+    # a child's peak starts at the size of the process that spawns it, here
+    # the test runner's, so the pinned ceilings are left to the file's own run
+    entry = {key: value for key, value in pinned_outputs.entries()["trees-5"].items()
+             if key != "max_rss_mb"}
+    problem, peak_mb = pinned_outputs.run_subprocess(entry, "0")
+    assert problem is None and peak_mb > 0
+    problem, _ = pinned_outputs.run_subprocess({**entry, "exit": 1}, "1")
+    assert problem == "trees-5: exit 0, pinned 1"
+    problem, _ = pinned_outputs.run_subprocess({**entry, "max_rss_mb": 1}, "1")
+    assert problem.startswith("trees-5: peak RSS ") and problem.endswith(" MB, ceiling 1 MB")
+    text = {"id": "text", "argv": ["wp", "--lambda", "2,1"], "exit": 0, "stdout": "9\n"}
+    assert pinned_outputs.run_subprocess(text, "0")[0] is None
+    problem, _ = pinned_outputs.run_subprocess({**text, "stdout": ""}, "0")
+    assert problem == "text: stdout '9', pinned ''"
+
+
 def _string_runs(source: str):
     """Each maximal run of string literals among the items of a list, tuple
     or set, or among the positional arguments of a call."""
