@@ -19,10 +19,9 @@ loads no layer and ``eulerian``, ``expand --basis e`` or ``invert`` loads
 only ``stirling``, ``symfunc``, ``partitions`` and ``limits``.  Only the
 standard-library modules that every verb needs, ``argparse``, ``os``, ``re``
 and ``sys``, are imported here; with the layers' ``collections.abc``,
-``fractions``, ``functools``, ``itertools``, ``math`` and ``threading`` they
-are all that a tally verb loads.  ``json`` is imported only when a verb
-prints JSON.  Each sized verb runs the refusal of its row in
-``limits.ROWS`` before any work.
+``fractions``, ``functools``, ``itertools`` and ``math`` they are all that a
+tally verb loads.  ``json`` is imported only when a verb prints JSON.  Each
+sized verb runs the refusal of its row in ``limits.ROWS`` before any work.
 """
 
 from __future__ import annotations
@@ -331,10 +330,17 @@ def _cmd_tables(args) -> int:
             sys.stdout.write(expansion_table(r, args.nmax))
         return 0
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for r in (1, 2):
-        path = outdir / f"expansions_r{r}.txt"
-        path.write_text(expansion_table(r, args.nmax), encoding="utf-8")
+    paths = {r: outdir / f"expansions_r{r}.txt" for r in (1, 2)}
+    # a path that cannot be written is bad input, not a fault of the package;
+    # the paths print outside the try, so a closed stdout still exits 141
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for r, path in paths.items():
+            path.write_text(expansion_table(r, args.nmax), encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write the tables to {outdir}: "
+                         f"{exc.strerror or exc}") from exc
+    for path in paths.values():
         print(path)
     return 0
 

@@ -32,7 +32,6 @@ was.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 from operator import add, le, mul
@@ -64,7 +63,6 @@ def _truncated_product(f: dict, g: dict, bound) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def wp_volume(lam: Partition) -> Fraction:
     """Exact evaluation of the closed formula; wp_volume(()) == 1.
 

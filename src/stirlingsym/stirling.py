@@ -217,6 +217,8 @@ def type_of(sp: StirlingPerm, kind: str = "AA", j: int = 1) -> Partition:
 def _validate_kind(kind: str, j: int, r: int) -> None:
     if kind not in TYPE_KINDS:
         raise ValueError(f"unknown type kind {kind!r}")
+    if kind in ("TN", "IN") and r < 2:
+        raise ValueError(f"kind {kind} needs r >= 2; the words of Q(n, {r}) have no gaps")
     if kind in ("TN", "IN") and not 1 <= j <= r - 1:
         raise ValueError(f"j must be in 1..{r - 1}")
     if kind in ("AA", "DA") and j != 1:

@@ -26,13 +26,12 @@ an e-, h- or p-basis input maps term by term without any conversion.
 
 Elements are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  Generator images, p rows and
-the d-variable matrices of the e/h/m pairs are computed once and cached;
-the d-variable matrices sit behind a lock.
+the d-variable matrices of the e/h/m pairs are computed once and kept in
+``functools.lru_cache``.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
@@ -86,16 +85,9 @@ def _generator_poly(basis: str, k: int, d: int) -> dict:
     return out
 
 
-_matrix_lock = threading.Lock()
-_matrix_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _to_m_matrix(basis: str, d: int) -> dict:
     """C[lam][mu] = coefficient of m_mu in basis_lam, for lam, mu |- d."""
-    key = ("to_m", basis, d)
-    with _matrix_lock:
-        if key in _matrix_cache:
-            return _matrix_cache[key]
     parts = partitions_of(d)
     if d == 0:
         matrix = {(): {(): Fraction(1)}}
@@ -113,17 +105,12 @@ def _to_m_matrix(basis: str, d: int) -> dict:
                 if c:
                     row[mu] = Fraction(c)
             matrix[lam] = row
-    with _matrix_lock:
-        _matrix_cache.setdefault(key, matrix)
-        return _matrix_cache[key]
+    return matrix
 
 
+@lru_cache(maxsize=None)
 def _from_m_matrix(basis: str, d: int) -> dict:
     """D[mu][lam] with m_mu = sum_lam D[mu][lam] basis_lam (inverse of C)."""
-    key = ("from_m", basis, d)
-    with _matrix_lock:
-        if key in _matrix_cache:
-            return _matrix_cache[key]
     parts = partitions_of(d)
     c = _to_m_matrix(basis, d)
     size = len(parts)
@@ -142,7 +129,7 @@ def _from_m_matrix(basis: str, d: int) -> dict:
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inverse = {
+    return {
         parts[i]: {
             parts[j]: aug[i][size + j]
             for j in range(size)
@@ -150,9 +137,6 @@ def _from_m_matrix(basis: str, d: int) -> dict:
         }
         for i in range(size)
     }
-    with _matrix_lock:
-        _matrix_cache.setdefault(key, inverse)
-        return _matrix_cache[key]
 
 
 # ---------------------------------------------------------------------------

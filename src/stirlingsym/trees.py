@@ -61,7 +61,8 @@ def is_leaf(t) -> bool:
 
 def enumerate_normalized(n: int) -> list[Tree]:
     """All normalized trees on [n] as a list, in the order of
-    :func:`normalized_trees`; (2n-3)!! of them for n >= 2."""
+    :func:`normalized_trees`; (2n-3)!! of them for n >= 2.  The package's
+    own checks stream :func:`normalized_trees` instead."""
     return list(normalized_trees(n))
 
 
@@ -242,7 +243,7 @@ def enumerate_colored(kind: str, mu) -> list[ColoredTree]:
     """All colored trees of the given kind with content exactly mu."""
     mu = trim(mu)
     out: list[ColoredTree] = []
-    for t in enumerate_normalized(sum(mu) + 1):
+    for t in normalized_trees(sum(mu) + 1):
         _colorings(analyze(t), kind, [0, *mu],
                    lambda colors, counts: out.append(ColoredTree(t, tuple(colors))))
     return out
@@ -251,7 +252,7 @@ def enumerate_colored(kind: str, mu) -> list[ColoredTree]:
 def type_generating_function(kind: str, n: int) -> SymFunc:
     """Sum of e_(tree type) over all normalized trees on [n]."""
     tally: dict[Partition, int] = {}
-    for t in enumerate_normalized(n):
+    for t in normalized_trees(n):
         lam = tree_type(t, kind)
         tally[lam] = tally.get(lam, 0) + 1
     return SymFunc("e", {lam: Fraction(c) for lam, c in tally.items()})
@@ -276,7 +277,7 @@ def colored_generating_function(kind: str, n: int) -> SymFunc:
         mu = trim(counts[1:])
         tally[mu] = tally.get(mu, 0) + 1
 
-    for t in enumerate_normalized(n):
+    for t in normalized_trees(n):
         _colorings(analyze(t), kind, [width] * (width + 1), count)
     return SymFunc("m", _content_to_monomial(tally, width))
 

@@ -258,7 +258,7 @@ WALK = [
     ("equidist", "refused-equidist-r126", "--r", (stirling, "_walk"), _TYPING),
     ("equidist-words", "refused-equidist-n10-r1", "--n", (stirling, "_walk"), _WORDS),
     # Q(8, 2) fits the word limit, but typing it and the trees of [9] does not
-    ("treeperm", "refused-treeperm-n9", "--n", (identities, "enumerate_normalized"),
+    ("treeperm", "refused-treeperm-n9", "--n", (identities, "normalized_trees"),
      _TYPING),
     ("forbidden", "refused-forbidden-order10", "--order",
      (identities, "forbidden_tree_egf"), _CAP),
@@ -275,6 +275,9 @@ WALK = [
     ("expand-j", "refused-expand-DA-j5",
      ["expand", "--n", "4", "--r", "2", "--kind", "DA", "--j", "1"],
      (stirling, "_type_tally"), "kind DA takes no j; j must be 1, got 5"),
+    ("expand-TN", "refused-expand-TN-r1",
+     ["expand", "--n", "2", "--r", "2", "--kind", "TN"],
+     (stirling, "_type_tally"), "kind TN needs r >= 2; the words of Q(n, 1) have no gaps"),
     ("enumerate", "refused-trees-n10", "--n", (trees, "_word_trees"),
      f"n={limits.NORMALIZED_MAX_N + 1} exceeds the normalized-tree limit "
      f"{limits.NORMALIZED_MAX_N}"),
@@ -757,3 +760,14 @@ def test_tables_rejects_negative_nmax(capsys):
     assert code == 2
     assert out == ""
     assert "--nmax" in err
+
+
+def test_tables_refuse_an_out_path_they_cannot_write(capsys, tmp_path):
+    # an existing file, and a directory below one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_path in (taken, taken / "below"):
+        code, out, err = run(capsys, "tables", "--nmax", "2", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write the tables to {out_path}: ")
+        assert err.count("\n") == 1

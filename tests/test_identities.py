@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from stirlingsym import identities, moduli, posets, stirling
+from stirlingsym import cli, identities, moduli, posets, stirling, trees
 from stirlingsym.identities import (
     check_drake,
     check_equicardinality,
@@ -311,8 +311,8 @@ FAILING_PATHS = [
     ("lemma52", ["--n", "4"], identities, "specialize_E", _bumped, "h_1"),
     ("equidist", ["--n", "3", "--r", "2"], identities, "type_of",
      lambda fn: _wrong_type(fn, "DA"), "Q(3,2) DA"),
-    ("treeperm", ["--n", "4"], identities, "enumerate_normalized", _bumped,
-     "|Nor_1|"),
+    ("treeperm", ["--n", "4"], identities, "normalized_trees",
+     lambda fn: lambda k: _bump(list(fn(k))), "|Nor_1|"),
     ("treeperm", ["--n", "4"], identities, "lyndon_type",
      lambda fn: lambda t: (99,), "k=1 lyn vs AA"),
     ("equicard", [], identities, "enumerate_colored",
@@ -358,3 +358,15 @@ def test_failing_check_pinpoints_the_first_mismatch(
     assert code == 1
     assert report["pass"] is False
     assert report["discrepancy"]["location"].startswith(location)
+
+
+def test_tree_checks_stream_the_walk(capsys, monkeypatch):
+    # enumerate_normalized stays the public list form; no check builds it
+    def no_list(n):
+        raise AssertionError("a check listed the normalized trees")
+
+    monkeypatch.setattr(trees, "enumerate_normalized", no_list)
+    monkeypatch.setattr(identities, "enumerate_normalized", no_list, raising=False)
+    for argv in (["treeperm", "--n", "5"], ["drake", "--order", "4"], ["equicard"]):
+        assert cli.main(["verify", "--identity", *argv]) == 0, argv
+        assert capsys.readouterr().out.endswith("]: pass\n"), argv

@@ -54,11 +54,12 @@ def test_invert_loads_only_the_layers_it_runs():
     assert loaded == {"cli", "stirling", "symfunc", "partitions", "limits"}
 
 
-_HEAVY = {"dataclasses", "inspect", "json"}
+# threading too: the layers' caches are plain lru_caches, which need no lock
+_HEAVY = {"dataclasses", "inspect", "json", "threading"}
 
 
 @pytest.mark.parametrize("code, unwanted", [
-    (PARSER, {"json"}),
+    (PARSER, {"json", "threading"}),
     (_running("eulerian", "--n", "7", "--r", "2"), _HEAVY),
     (_running("expand", "--n", "7", "--r", "2", "--basis", "e"), _HEAVY),
     (_running("verify", "--identity", "prop11", "--order", "2"), _HEAVY),

@@ -48,6 +48,11 @@ def test_volume_base_values():
     assert wp_volume((1, 1, 1)) == 61
 
 
+def test_volume_takes_any_iterable():
+    assert wp_volume([2, 1]) == 9
+    assert wp_volume(iter([1, 1])) == 5
+
+
 def test_volume_pins_from_the_slot_enumeration():
     # computed by enumerating every spread of the part multiplicities over
     # the k slots, a route independent of the generating-function power

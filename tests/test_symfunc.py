@@ -447,8 +447,8 @@ def test_rendering():
 
 
 def test_concurrent_conversions_share_the_matrix_cache():
-    # transition matrices live behind a lock; hammer one fresh degree from
-    # several threads and check every result agrees with a serial conversion
+    # transition matrices live in lru_caches; hammer one degree from several
+    # threads and check every result agrees with a serial conversion
     from concurrent.futures import ThreadPoolExecutor
 
     elements = [basis_element("h", lam) for lam in partitions_of(7)]
