@@ -24,11 +24,11 @@ that the tests check against these definitions.
 
 The type sums (:func:`stirling_symfunc`) and descent polynomials
 (:func:`eulerian_polynomial`) are computed by block-insertion recurrences
-that build no word: a tally over partitions of n and a row of descent
-counts.  Enumeration is the oracle that the tests and ``verify`` compare
-them with: one lexicographic walk (:func:`enumerate_stirling_backtrack`)
-streams the words of Q(n, r) in O(nr) memory, and
-:func:`enumerate_stirling` validates each word it yields.
+that build no word: a tally over partitions of n, each one step from the
+cached tally of n - 1, and a row of descent counts.  Enumeration is the
+oracle that the tests and ``verify`` compare them with: one lexicographic
+walk (:func:`enumerate_stirling_backtrack`) streams the words of Q(n, r) in
+O(nr) memory, and :func:`enumerate_stirling` validates each word it yields.
 
 :func:`invert_egf_numeric`, the route of the ``invert`` verb, inverts an EGF
 by evaluating these type sums.
@@ -234,24 +234,24 @@ def _type_tally(n: int, r: int) -> tuple:
     # into parts i+1 and k-i (or becomes k+1 when i = k).  The other
     # m(r-1)+1 slots add the singleton chain (m+1).  DA and IN_j are the
     # images of AA and TN_{r-j} under reversal, so every kind tallies alike.
+    # Row n is one step (m = n-1) from the cached row n-1; each runs once.
     _check_size(n, r)
-    tally: dict[Partition, int] = {(): 1}
-    for m in range(n):
-        step: dict[Partition, int] = {}
-        for lam, count in tally.items():
-            key = lam + (1,)
-            step[key] = step.get(key, 0) + (m * (r - 1) + 1) * count
-            for k in set(lam):
-                rest = list(lam)
-                rest.remove(k)
-                weight = lam.count(k) * count
-                for i in range(1, k):
-                    key = sort_to_partition(rest + [i + 1, k - i])
-                    step[key] = step.get(key, 0) + weight
-                key = sort_to_partition(rest + [k + 1])
+    if n == 0:
+        return (((), 1),)
+    step: dict[Partition, int] = {}
+    for lam, count in _type_tally(n - 1, r):
+        key = lam + (1,)
+        step[key] = step.get(key, 0) + ((n - 1) * (r - 1) + 1) * count
+        for k in set(lam):
+            rest = list(lam)
+            rest.remove(k)
+            weight = lam.count(k) * count
+            for i in range(1, k):
+                key = sort_to_partition(rest + [i + 1, k - i])
                 step[key] = step.get(key, 0) + weight
-        tally = step
-    return tuple(sorted(tally.items()))
+            key = sort_to_partition(rest + [k + 1])
+            step[key] = step.get(key, 0) + weight
+    return tuple(sorted(step.items()))
 
 
 def stirling_symfunc(n: int, r: int, kind: str = "AA", j: int = 1) -> SymFunc:
@@ -266,7 +266,7 @@ def stirling_symfunc(n: int, r: int, kind: str = "AA", j: int = 1) -> SymFunc:
     """
     _validate_kind(kind, j, r)
     check_type_sum_limit(n)
-    return SymFunc("e", {lam: Fraction(c) for lam, c in _type_tally(n, r)})
+    return SymFunc("e", _type_tally(n, r))
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +275,8 @@ def _descent_tally(n: int, r: int) -> tuple:
     # each between two adjacent letters (sentinels included).  Inserting at
     # one of the d descents keeps d; the other mr+1-d slots raise it by one:
     # C(m+1, d) = d C(m, d) + (mr+2-d) C(m, d-1)  (Park, "The
-    # r-multipermutations", JCTA 1994)
+    # r-multipermutations", JCTA 1994); a loop, as n reaches 1423 (past the
+    # recursion limit) and its rows would hold 10^6 ints of up to 4,300 digits
     _check_size(n, r)
     row = [1]
     for m in range(n):
@@ -293,7 +294,7 @@ def eulerian_polynomial(n: int, r: int) -> TPoly:
     Computed by the descent-slot recurrence, which builds no word;
     :func:`eulerian_brute_force` is the oracle that tallies the enumeration.
     """
-    return TPoly({d: Fraction(c) for d, c in _descent_tally(n, r)})
+    return TPoly(_descent_tally(n, r))
 
 
 def eulerian_brute_force(n: int, r: int) -> TPoly:
@@ -304,7 +305,7 @@ def eulerian_brute_force(n: int, r: int) -> TPoly:
         padded = (0,) + word + (0,)
         d = sum(1 for i in range(len(padded) - 1) if padded[i] > padded[i + 1])
         tally[d] = tally.get(d, 0) + 1
-    return TPoly({d: Fraction(c) for d, c in tally.items()})
+    return TPoly(tally)
 
 
 # ---------------------------------------------------------------------------

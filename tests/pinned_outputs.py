@@ -9,8 +9,8 @@ flake on a loaded machine, and an in-process peak is the test runner's.
 
 ``test_pinned_outputs.py`` runs every entry through ``cli.main``.  Running
 this file runs every entry as a subprocess, once under ``PYTHONHASHSEED=0``
-and once under ``1``, and exits 1 if any output differs from its pin or any
-peak exceeds its ceiling::
+and once under ``1``, prints each run's peak and wall time, and exits 1 if
+any output differs from its pin or any peak exceeds its ceiling::
 
     python tests/pinned_outputs.py
 
@@ -125,8 +125,10 @@ def main() -> int:
     failed = 0
     for entry in entries().values():
         for hash_seed in ("0", "1"):
+            start = time.perf_counter()
             problem, peak_mb = run_subprocess(entry, hash_seed)
-            line = problem or f"{entry['id']}: ok, peak {peak_mb:.1f} MB"
+            wall_s = time.perf_counter() - start
+            line = problem or f"{entry['id']}: ok, peak {peak_mb:.1f} MB, {wall_s:.2f} s"
             print(f"PYTHONHASHSEED={hash_seed} {line}", flush=True)
             failed += problem is not None
     print(f"{failed} of {2 * len(entries())} runs differ from their pins "

@@ -355,6 +355,33 @@ def test_production_route_builds_no_word(monkeypatch, capsys):
     assert "degree 9 exceeds the cap 8" in capsys.readouterr().err
 
 
+def test_each_type_row_steps_from_the_cached_row_below():
+    stirling._type_tally.cache_clear()
+    stirling_symfunc(12, 2)
+    info = stirling._type_tally.cache_info()
+    assert (info.misses, info.currsize) == (13, 13)  # rows 0..12
+    stirling_symfunc(13, 2)
+    assert stirling._type_tally.cache_info().misses == 14
+
+
+def test_a_row_stepped_from_a_partly_filled_cache_matches_enumeration():
+    stirling._type_tally.cache_clear()
+    stirling_symfunc(3, 2)
+    words = _oracle_words(6, 2)
+    assert len(words) == 10_395
+    for kind in ("AA", "DA", "TN", "IN"):
+        types = _tally(type_of(sp, kind) for sp in words)
+        assert stirling_symfunc(6, 2, kind) == SymFunc("e", types), kind
+
+
+def test_the_descent_row_keeps_its_loop():
+    # eulerian --n 1423 is accepted: a recursive row would pass the default
+    # recursion limit and keep every row below it
+    stirling._descent_tally.cache_clear()
+    eulerian_polynomial(40, 2)
+    assert stirling._descent_tally.cache_info().currsize == 1
+
+
 def test_eulerian_polynomials():
     assert str(eulerian_polynomial(3, 2)) == "t + 8*t^2 + 6*t^3"
     assert eulerian_polynomial(1, 5) == TPoly({1: 1})
