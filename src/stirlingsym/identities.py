@@ -33,7 +33,7 @@ from .partitions import (
     weak_compositions,
 )
 from .report import VerificationReport, coefficient_pairs, first_mismatch, series_report
-from .series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
+from .series import QQ, QT, TruncatedSeries, symfunc_egf, symfunc_ogf
 from .stirling import (
     _FAMILY,
     _type_sum,
@@ -82,14 +82,6 @@ def _h_coefficient(r: int, n: int, basis: str = "h") -> SymFunc:
 def _invert(r: int, series: TruncatedSeries) -> TruncatedSeries:
     """The inversion of family r: multiplicative for r = 1, compositional for 2."""
     return series.inv() if r == 1 else series.comp_inverse()
-
-
-def _ogf(order: int, fn) -> TruncatedSeries:
-    """OGF with coefficients fn(n), read in the power-sum basis; the twin of
-    symfunc_egf.  e and h reach p through their closed forms, and products
-    in p join partitions, so the series checks build no transition matrix."""
-    coeffs = [convert(fn(n), "p") for n in range(order + 1)]
-    return TruncatedSeries.from_coefficients(SymFuncRing(basis="p"), "ogf", order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +144,8 @@ def noncrossing_e_sum(n: int) -> SymFunc:
 def check_prop11(order: int = 6) -> VerificationReport:
     """OGF: the inverse of the alternating h series is the e series."""
     refuse("prop11", order)
-    lhs = _invert(1, _ogf(order, lambda n: _h_coefficient(1, n)))
-    return series_report("prop11", {"order": order}, lhs, _ogf(order, _e))
+    lhs = _invert(1, symfunc_ogf(order, lambda n: _h_coefficient(1, n)))
+    return series_report("prop11", {"order": order}, lhs, symfunc_ogf(order, _e))
 
 
 def check_prop12(order: int = 6) -> VerificationReport:
@@ -169,8 +161,8 @@ def check_prop12(order: int = 6) -> VerificationReport:
             catalan = binomial(2 * k, k) // (k + 1)
             yield f"|NC_{k}|", len(found), catalan
             yield f"|NC_{k}| noncrossing", sum(map(is_noncrossing, found)), catalan
-        lhs = _invert(2, _ogf(order, lambda n: _h_coefficient(2, n)))
-        rhs = _ogf(order, lambda n: noncrossing_e_sum(n - 1) if n else SymFunc.zero("e"))
+        lhs = _invert(2, symfunc_ogf(order, lambda n: _h_coefficient(2, n)))
+        rhs = symfunc_ogf(order, lambda n: noncrossing_e_sum(n - 1) if n else SymFunc.zero())
         yield from coefficient_pairs(lhs, rhs)
 
     details = ["noncrossing counts match Catalan numbers up to C_7"]
@@ -185,8 +177,8 @@ def check_prop12(order: int = 6) -> VerificationReport:
 def _egf_check(identity: str, r: int, order: int) -> VerificationReport:
     """EGF: the inverse of family r's h series holds F(n-s, r) at y^n/n!."""
     refuse(identity, order)
-    lhs = _invert(r, symfunc_egf(order, lambda n: _h_coefficient(r, n), "p"))
-    rhs = symfunc_egf(order, lambda n: _type_sum(r, n), "p")
+    lhs = _invert(r, symfunc_egf(order, lambda n: _h_coefficient(r, n)))
+    rhs = symfunc_egf(order, lambda n: _type_sum(r, n))
     return series_report(identity, {"order": order}, lhs, rhs)
 
 

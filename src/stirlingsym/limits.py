@@ -34,15 +34,15 @@ TYPE_SUM_MAX_N = 30
 
 #: Largest |Q(n, r)| that a ``verify`` check enumerates for a user-given size.
 #: Q(8, 2) has 2,027,025 words: ``verify --identity eulerian_oracle --n 8``
-#: walks it and every smaller Q(k, 1) and Q(k, 2) in 16.3 s on a 2-vCPU VM.
-#: Q(9, 2) has 34,459,425 words.
+#: walks it and every smaller Q(k, 1) and Q(k, 2) in 9.4 s (2-vCPU Xeon VM,
+#: Python 3.11).  Q(9, 2) has 34,459,425 words.
 ENUMERATION_MAX_WORDS = 2_500_000
 
 #: Largest |Q(n, r)| * 2r * nr that ``verify --identity equidist`` types for a
 #: user-given size: each word is typed for 2r kinds at O(nr) each.  Among the
-#: accepted sizes Q(9, 1) (6,531,840) took 15.8 s and Q(7, 2) (7,567,560)
-#: 12.4 s on a 2-vCPU VM; Q(2, 200) (32,160,000) took 11.1 s, and Q(2, 1000)
-#: would run for about 17 minutes.
+#: accepted sizes Q(9, 1) (6,531,840) took 7.9 s and Q(7, 2) (7,567,560) 5.0 s
+#: (2-vCPU Xeon VM, Python 3.11); typed in-process past the refusal, Q(2, 200)
+#: (32,160,000) took 2.1 s and Q(2, 1000) (about 4 * 10^9) 234 s.
 TYPING_MAX_WORK = 8_000_000
 
 #: Largest n for which ``normalized_trees`` walks the trees: ``enumerate --what

@@ -14,21 +14,23 @@ element's constant term and a product kernel.  Ring elements support ``+``,
 rational; every product of elements goes through ``Ring.dot``, the sum
 x_1 y_1 + ... + x_k y_k of pairwise products, so a ring can bound each product
 and accumulate the sum in its own representation: over Q and Q[t] in
-integers, reduced once per result.  Each coefficient of a series product or
-multiplicative inverse is one ``dot``.  The paper's inversion identities are
-read over three rings: Q (:data:`QQ`), Q[t] (:data:`QT`) and the symmetric
-functions (:func:`SymFuncRing`).  In each the units are the nonzero rational
-constants.
+integers, reduced once per result; over the symmetric functions as one join
+of partitions in the work basis, converted once (``symfunc.dot``, whose
+one-pair case is ``symfunc.multiply``).  Each coefficient of a series product
+or multiplicative inverse is one ``dot``.  The paper's inversion identities
+are read over Q (:data:`QQ`), Q[t] (:data:`QT`) and the symmetric functions
+(:func:`SymFuncRing`), in each of which the units are the nonzero rational
+constants; :func:`symfunc_ogf` and :func:`symfunc_egf` hold series over the
+symmetric functions in p.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial
 from math import factorial, lcm
 
-from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, TPoly, convert, multiply
+from .symfunc import DEFAULT_DEGREE_CAP, SymFunc, TPoly, convert, dot
 
 FLAVORS = ("ogf", "egf")
 
@@ -102,13 +104,8 @@ def SymFuncRing(basis: str = "h", cap: int = DEFAULT_DEGREE_CAP) -> Ring:
 
     Products formed through the ring are capped at degree ``cap``.
     """
-    zero = SymFunc.zero(basis)
-
-    def dot(xs, ys):
-        products = [multiply(x, y, cap) for x, y in zip(xs, ys) if x and y]
-        return reduce(operator.add, products) if products else zero
-
-    return Ring(f"Lambda[{basis}]", SymFunc.one(basis), SymFunc.constant_term, dot)
+    return Ring(f"Lambda[{basis}]", SymFunc.one(basis), SymFunc.constant_term,
+                partial(dot, basis=basis, cap=cap))
 
 
 class TruncatedSeries:
@@ -189,31 +186,20 @@ class TruncatedSeries:
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _with(self, coeffs) -> "TruncatedSeries":
+        """A series of this ring, flavor and order."""
+        return TruncatedSeries(self.ring, self.flavor, self.order, coeffs)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
-        return TruncatedSeries(
-            self.ring,
-            self.flavor,
-            self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        return self._with([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
-        return TruncatedSeries(
-            self.ring,
-            self.flavor,
-            self.order,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        return self._with([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.ring,
-            self.flavor,
-            self.order,
-            [self.ring.mul(c, a) for a in self.coeffs],
-        )
+        return self._with([self.ring.mul(c, a) for a in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self.mul(other)
@@ -223,12 +209,7 @@ class TruncatedSeries:
         per output coefficient."""
         self._compatible(other)
         a, b, dot = self.coeffs, other.coeffs, self.ring.dot
-        return TruncatedSeries(
-            self.ring,
-            self.flavor,
-            self.order,
-            [dot(a[: n + 1], b[n::-1]) for n in range(self.order + 1)],
-        )
+        return self._with([dot(a[: n + 1], b[n::-1]) for n in range(self.order + 1)])
 
     def inv(self) -> "TruncatedSeries":
         """Multiplicative inverse via the triangular Cauchy recurrence, one
@@ -240,7 +221,7 @@ class TruncatedSeries:
         out = [inv0]
         for n in range(1, self.order + 1):
             out.append(-ring.mul(inv0, ring.dot(a[1 : n + 1], out[::-1])))
-        return TruncatedSeries(ring, self.flavor, self.order, out)
+        return self._with(out)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitution self(inner(y)), truncated; inner must kill constants."""
@@ -283,12 +264,23 @@ class TruncatedSeries:
         for n in range(1, self.order + 1):
             power = power.mul(h)
             g.append(ring.mul(ring.from_rational(Fraction(1, n)), power.coeffs[n - 1]))
-        return TruncatedSeries(ring, self.flavor, self.order, g)
+        return self._with(g)
 
 
-def symfunc_egf(order: int, fn, basis: str = "h") -> TruncatedSeries:
-    """EGF over the symmetric-function ring with semantic coefficients fn(n)."""
-    ring = SymFuncRing(basis=basis)
-    return TruncatedSeries.from_egf_coefficients(
-        ring, order, [convert(fn(n), basis) for n in range(order + 1)]
-    )
+def _in_p(order: int, fn) -> list:
+    """fn(0), ..., fn(order) in p, where every series over the symmetric
+    functions is held: e and h reach p by their closed forms, and products in
+    p join partitions, so no series product or inverse builds a matrix."""
+    return [convert(fn(n), "p") for n in range(order + 1)]
+
+
+def symfunc_ogf(order: int, fn) -> TruncatedSeries:
+    """OGF over the symmetric functions with coefficients fn(n), held in p."""
+    return TruncatedSeries.from_coefficients(SymFuncRing("p"), "ogf", order,
+                                             _in_p(order, fn))
+
+
+def symfunc_egf(order: int, fn) -> TruncatedSeries:
+    """EGF over the symmetric functions with semantic coefficients fn(n), in p."""
+    return TruncatedSeries.from_egf_coefficients(SymFuncRing("p"), order,
+                                                 _in_p(order, fn))

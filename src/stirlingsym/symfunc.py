@@ -24,6 +24,11 @@ The algebra maps :func:`specialize_E` (e_i -> t) and :func:`evaluate_h`
 of e_k, h_k and p_k follow from the e-h relation and Newton's identity, and
 an e-, h- or p-basis input maps term by term without any conversion.
 
+Products join partitions in a work basis: e, h and p are their own, and m
+and s work in p.  :func:`dot`, the sum of the pairwise products of two
+sequences, joins every pair into one sum in the work basis and converts it
+once; :func:`multiply` is its one-pair case.
+
 Elements are immutable after construction and all operations are pure, so
 values can be shared freely across threads.  Generator images, p rows and
 the d-variable matrices of the e/h/m pairs are computed once and kept in
@@ -480,7 +485,7 @@ def render_symfunc(f: SymFunc, latex: bool = False) -> str:
 class _Terms(dict):
     """A combination of e_lam, h_lam or p_lam; products join the partitions.
 
-    The ring in which the algebra maps below compute and :func:`multiply`
+    The ring in which the algebra maps below compute and :func:`dot`
     multiplies.  Inside a conversion no product exceeds the degree of the
     element converted, which :func:`convert` has checked against the cap.
     """
@@ -499,12 +504,16 @@ class _Terms(dict):
     def __mul__(self, other):
         if not isinstance(other, _Terms):
             return _Terms({lam: c * other for lam, c in self.items()} if other else {})
-        out = _Terms()
-        for lam, a in self.items():
-            for mu, b in other.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                out[key] = out.get(key, 0) + a * b
-        return _Terms({lam: c for lam, c in out.items() if c})
+        return _Terms({lam: c for lam, c in _join({}, self, other).items() if c})
+
+
+def _join(out: dict, a: dict, b: dict) -> dict:
+    """Add the product of a and b, partitions joined, into out."""
+    for lam, x in a.items():
+        for mu, y in b.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + x * y
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -604,17 +613,22 @@ def convert(f: SymFunc, target: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
     return SymFunc(target, out)
 
 
-def multiply(f: SymFunc, g: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
-    """Product in the ring, returned in the basis of f.
+def dot(xs, ys, basis: str, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
+    """sum x_i * y_i over the pairs of ``xs`` and ``ys``, in ``basis``: each
+    nonzero pair's degree is checked against ``cap`` and its partitions are
+    joined into one sum in the work basis, converted to ``basis`` once."""
+    work = basis if basis in ("e", "h", "p") else "p"
+    total: dict = {}
+    for f, g in zip(xs, ys):
+        if f and g:
+            _check_cap(f.degree() + g.degree(), cap)
+            _join(total, convert(f, work, cap).terms, convert(g, work, cap).terms)
+    return convert(SymFunc(work, total), basis, cap)
 
-    The multiplicative bases e, h and p join partitions; an m or s product
-    is formed in p and converted back."""
-    if not f or not g:
-        return SymFunc(f.basis, {})
-    _check_cap(f.degree() + g.degree(), cap)
-    work = f.basis if f.basis in ("e", "h", "p") else "p"
-    product = _Terms(convert(f, work, cap).terms) * _Terms(convert(g, work, cap).terms)
-    return convert(SymFunc(work, product), f.basis, cap)
+
+def multiply(f: SymFunc, g: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:
+    """Product in the ring, in the basis of f: the one-pair :func:`dot`."""
+    return dot((f,), (g,), f.basis, cap)
 
 
 def omega(f: SymFunc, cap: int = DEFAULT_DEGREE_CAP) -> SymFunc:

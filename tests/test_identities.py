@@ -61,9 +61,10 @@ def test_ogf_checks_pass():
 
 def test_ogf_compositional_coefficient_extraction():
     # the y^3 coefficient of the inverse is the noncrossing sum on two letters
-    from stirlingsym.identities import _h_coefficient, _ogf
+    from stirlingsym.identities import _h_coefficient
+    from stirlingsym.series import symfunc_ogf
 
-    inv = _ogf(4, lambda n: _h_coefficient(2, n)).comp_inverse()
+    inv = symfunc_ogf(4, lambda n: _h_coefficient(2, n)).comp_inverse()
     assert inv.coefficient(3) == noncrossing_e_sum(2)
     assert inv.coefficient(1) == SymFunc.one("h")
 

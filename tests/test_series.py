@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlingsym.partitions import partitions_of
-from stirlingsym.series import QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf
+from stirlingsym.series import (QQ, QT, SymFuncRing, TruncatedSeries, symfunc_egf,
+                                symfunc_ogf)
 from stirlingsym.stirling import eulerian_polynomial
 from stirlingsym.symfunc import (
     DEFAULT_DEGREE_CAP,
@@ -126,6 +127,22 @@ def test_egf_inverse_second_coefficient():
     inv = F.inv()
     expected = 2 * basis_element("h", (1, 1)) - basis_element("h", (2,))
     assert inv.egf_coefficient(2) == expected
+
+
+@pytest.mark.parametrize("build", [symfunc_ogf, symfunc_egf], ids=lambda f: f.__name__)
+def test_symfunc_series_are_held_in_p(build):
+    # h-basis coefficients in, a series over Lambda[p] out, whatever the flavor
+    def alt_h(n):
+        return (-1) ** n * basis_element("h", (n,) if n else ())
+
+    F = build(5, alt_h)
+    assert F.ring.name == "Lambda[p]"
+    assert F.ring.one().basis == "p"
+    assert [c.basis for c in F.coeffs] == ["p"] * 6
+    assert [c.basis for c in F.inv().coeffs] == ["p"] * 6
+    for n in range(6):
+        semantic = F.egf_coefficient(n) if F.flavor == "egf" else F.coefficient(n)
+        assert semantic == alt_h(n)
 
 
 def test_comp_inverse_doubled_letter_coefficients():
@@ -274,7 +291,7 @@ def test_series_products_match_pairwise_oracle(ring, order):
         assert unit_led.compose(inner) == pairwise_compose(unit_led, inner)
 
 
-@pytest.mark.parametrize("ring", PRODUCT_RINGS + [SymFuncRing(basis="m")],
+@pytest.mark.parametrize("ring", PRODUCT_RINGS + [SymFuncRing(basis=b) for b in "msep"],
                          ids=lambda r: r.name)
 def test_ring_dot_is_the_sum_of_pairwise_products(ring):
     zero = ring.zero()
